@@ -29,7 +29,7 @@ from . import polytope
 from .environment import InstanceSpec, OracleSolution
 from .estimator import confidence_widths, snap_to_grid
 from .polytope import Infeasible, SimplexPolytopeLP
-from .randomness import RandomSource, StreamLabel
+from .randomness import RandomSource, first_uniforms
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -72,8 +72,8 @@ class EpochState:
     """Mutable per-epoch memory shared by the replicable policies."""
 
     h: int
-    counts: np.ndarray
-    epoch_start_counts: np.ndarray
+    counts: np.ndarray  # pulls per arm so far
+    epoch_start_counts: np.ndarray  # pulls per arm at the last close
     r_hat: np.ndarray
     g_hat: np.ndarray
     zeta: np.ndarray
@@ -123,7 +123,13 @@ def mixing_coefficient(
 
 
 class _EpochDoublingPolicy:
-    """Shared machinery: counts, sample buffers, close detection."""
+    """Shared machinery: counts, success sums, doubling targets, closes.
+
+    The strategy is frozen between closes, so the trial engine plays a
+    whole epoch at a time and reports it through ``observe_epoch``.  An
+    epoch ends at the first round where some arm's pull count reaches
+    its target, twice its count at the epoch start.
+    """
 
     kind = "sampled"  # harness draws the action from x_current
 
@@ -158,37 +164,28 @@ class _EpochDoublingPolicy:
             delta_prime=dp,
             rho_prime=rp,
         )
-        self.counts = [0] * k
-        self.thresholds = [1] * k
-        self.buf_r = [np.empty(horizon) for _ in range(k)]
-        self.buf_g = [[np.empty(horizon) for _ in range(k)] for _ in range(m)]
+        self.targets = np.ones(k, dtype=np.int64)
+        # feedback is 0/1, so these float sums are exact success counts
+        self.reward_sums = np.zeros(k)
+        self.cost_sums = np.zeros((m, k))
         self.last_fallback = False
-        self._pending = False
         self._select()
 
-    # -- hot path -----------------------------------------------------
-
-    def observe(self, arm: int, reward: float, costs) -> None:
-        n = self.counts[arm]
-        self.buf_r[arm][n] = reward
+    def observe_epoch(self, arms: np.ndarray, rewards: np.ndarray, costs: np.ndarray) -> None:
+        """Fold in one epoch of play: the pulled arms and, per round, the
+        realized reward and the (spec.m, L) realized costs."""
+        k = self.spec.k
+        self.state.counts += np.bincount(arms, minlength=k)
+        self.reward_sums += np.bincount(arms, weights=rewards, minlength=k)
         for i in range(self.m):
-            self.buf_g[i][arm][n] = costs[i]
-        n += 1
-        self.counts[arm] = n
-        if n >= self.thresholds[arm]:
-            self._pending = True
-
-    @property
-    def pending_close(self) -> bool:
-        return self._pending
+            self.cost_sums[i] += np.bincount(arms, weights=costs[i], minlength=k)
 
     # -- epoch boundary -----------------------------------------------
 
     def close_epoch(self) -> None:
         """Advance to the next epoch: refresh estimates and reselect."""
-        self._pending = False
         st = self.state
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = st.counts
         prior_caps = np.maximum(2 * st.epoch_start_counts, 1)
         if np.any(counts > prior_caps):
             raise RuntimeError("doubling discipline violated inside an epoch")
@@ -198,21 +195,29 @@ class _EpochDoublingPolicy:
                 f"epoch index {st.h} exceeded budget "
                 f"{epoch_budget(self.spec.k, self.horizon)}"
             )
-        st.counts = counts
         st.epoch_start_counts = counts.copy()
         st.zeta = confidence_widths(counts, st.delta_prime, st.rho_prime)
         self._update_estimates()
         self._select()
-        self.thresholds = np.maximum(2 * counts, 1).tolist()
+        self.targets = np.maximum(2 * counts, 1)
 
-    def _prefix_mean(self, buf: np.ndarray, n: int) -> float:
-        # cumsum is a strict left-to-right accumulation, matching the
-        # sample-order contract of the estimator.
-        return float(np.cumsum(buf[:n])[-1]) / n
+    def _refresh(self, arms: np.ndarray) -> None:
+        """Snap the estimates of ``arms`` (all sampled) to this epoch's grid.
 
-    def _offset(self, purpose: str, arm: int, cons: int | None, cell: float) -> float:
-        label = StreamLabel(purpose, epoch=self.state.h, arm=arm, cons=cons)
-        return self.xi.uniform(label) * cell
+        Each (arm, signal) grid offset is the first uniform of its own
+        labeled stream, scaled by the arm's cell width.
+        """
+        st = self.state
+        n = st.counts[arms]
+        cell = st.zeta[arms]
+        offset = first_uniforms(self.xi, "offset-reward", epoch=st.h, arm=arms) * cell
+        st.r_hat[arms] = snap_to_grid(self.reward_sums[arms] / n, cell, offset)
+        if self.m:
+            offset = first_uniforms(
+                self.xi, "offset-cost", epoch=st.h, arm=arms[None, :],
+                cons=np.arange(self.m)[:, None],
+            ) * cell
+            st.g_hat[:, arms] = snap_to_grid(self.cost_sums[:, arms] / n, cell, offset)
 
     def _update_estimates(self) -> None:
         raise NotImplementedError
@@ -236,13 +241,8 @@ class Debora(_EpochDoublingPolicy):
         )
 
     def _update_estimates(self) -> None:
-        st = self.state
-        prev = self.current_arm
-        n = int(st.epoch_start_counts[prev])
-        cell = float(st.zeta[prev])
-        mean = self._prefix_mean(self.buf_r[prev], n)
-        offset = self._offset("offset-reward", prev, None, cell)
-        st.r_hat[prev] = snap_to_grid(mean, cell, offset)
+        # only the arm just played has new samples
+        self._refresh(np.array([self.current_arm]))
 
     def _select(self) -> None:
         st = self.state
@@ -267,19 +267,8 @@ class DeboraS(_EpochDoublingPolicy):
         )
 
     def _update_estimates(self) -> None:
-        st = self.state
-        for arm in range(self.spec.k):
-            n = int(st.epoch_start_counts[arm])
-            if n == 0:
-                continue  # never played: keep the symmetric prior
-            cell = float(st.zeta[arm])
-            mean = self._prefix_mean(self.buf_r[arm], n)
-            offset = self._offset("offset-reward", arm, None, cell)
-            st.r_hat[arm] = snap_to_grid(mean, cell, offset)
-            for i in range(self.m):
-                mean_i = self._prefix_mean(self.buf_g[i][arm], n)
-                offset_i = self._offset("offset-cost", arm, i, cell)
-                st.g_hat[i, arm] = snap_to_grid(mean_i, cell, offset_i)
+        # never-played arms keep the symmetric prior
+        self._refresh(np.flatnonzero(self.state.counts))
 
     def _select(self) -> None:
         st = self.state

@@ -21,16 +21,17 @@ from .algorithms import ALGORITHM_NAMES, ConfigError
 from .environment import ValidationError, load_instance
 from .harness import aggregate_and_export, run_batch, run_replicability_experiment
 
+# the JSON type each config key takes (float keys also accept integers)
 _CONFIG_KEYS = {
-    "instance",
-    "algo",
-    "horizon",
-    "delta",
-    "rho",
-    "trials",
-    "pairs",
-    "seed",
-    "out",
+    "instance": str,
+    "algo": str,
+    "horizon": int,
+    "delta": float,
+    "rho": float,
+    "trials": int,
+    "pairs": int,
+    "seed": int,
+    "out": str,
 }
 
 
@@ -82,9 +83,17 @@ def _load_config(path: str | None) -> dict:
         ) from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(payload) - _CONFIG_KEYS)
+    unknown = sorted(set(payload) - _CONFIG_KEYS.keys())
     if unknown:
         raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, value in payload.items():
+        kind = _CONFIG_KEYS[key]
+        accepted = (int, float) if kind is float else kind
+        # JSON true/false decode to bool, a subclass of int
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValidationError(
+                f"{path}: config key {key!r} must be a {kind.__name__}, got {value!r}"
+            )
     return payload
 
 
@@ -104,6 +113,13 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_count(value: int | None, key: str) -> int | None:
+    """Counts (horizon, trials, pairs) are >= 1; None keeps the default."""
+    if value is not None and value < 1:
+        raise ValidationError(f"--{key} must be a positive integer, got {value!r}")
+    return value
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     spec = load_instance(_resolve(args, config, "instance", required=True))
@@ -115,9 +131,9 @@ def _cmd_run(args) -> int:
         algo,
         delta=float(_resolve(args, config, "delta", 0.05)),
         rho=float(_resolve(args, config, "rho", 0.2)),
-        trials=int(_resolve(args, config, "trials", 1)),
+        trials=_check_count(_resolve(args, config, "trials", 1), "trials"),
         seed=_check_seed(_resolve(args, config, "seed", 0)),
-        horizon=_resolve(args, config, "horizon"),
+        horizon=_check_count(_resolve(args, config, "horizon"), "horizon"),
     )
     out_dir = _resolve(args, config, "out", required=True)
     for path in aggregate_and_export(logs, None, out_dir):
@@ -138,9 +154,9 @@ def _cmd_replicability(args) -> int:
         algo,
         rho=rho,
         delta=delta,
-        n_pairs=int(_resolve(args, config, "pairs", 50)),
+        n_pairs=_check_count(_resolve(args, config, "pairs", 50), "pairs"),
         seed=_check_seed(_resolve(args, config, "seed", 0)),
-        horizon=_resolve(args, config, "horizon"),
+        horizon=_check_count(_resolve(args, config, "horizon"), "horizon"),
     )
     out_dir = Path(_resolve(args, config, "out", required=True))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -105,7 +105,7 @@ def _shape_problems(r, g, a, horizon, family) -> list[str]:
                 out.append(f"cost_means[{i}][{idx}] = {value!r} outside [0, 1]")
         if not (0.0 <= a[i] <= 1.0):
             out.append(f"thresholds[{i}] = {a[i]!r} outside [0, 1]")
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
         out.append(f"horizon must be a positive integer, got {horizon!r}")
     if family != "bernoulli":
         out.append(f"unsupported distribution family {family!r}")
@@ -136,9 +136,10 @@ def instance_from_dict(payload: dict, where: str = "instance") -> InstanceSpec:
 
     k = payload["K"]
     m = payload["m"]
-    if not isinstance(k, int) or k < 1:
+    # JSON true/false decode to bool, a subclass of int
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         problems.append(f"{where}.K must be an integer >= 1, got {k!r}")
-    if not isinstance(m, int) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         problems.append(f"{where}.m must be an integer >= 0, got {m!r}")
     if problems:
         raise ValidationError("\n".join(problems))

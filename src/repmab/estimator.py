@@ -16,7 +16,6 @@ epoch-based algorithms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +89,14 @@ def sequential_mean(samples) -> float:
     return float(np.cumsum(arr)[-1]) / arr.size
 
 
-def snap_to_grid(mean: float, cell: float, offset: float) -> float:
-    """Midpoint of the offset-grid cell containing ``mean``, capped at 1."""
-    z = math.floor(max((mean - offset) / cell, 0.0))
-    return min(offset + (z + 0.5) * cell, 1.0)
+def snap_to_grid(mean, cell, offset):
+    """Midpoint of the offset-grid cell containing ``mean``, capped at 1.
+
+    Elementwise over broadcast arrays; a python float for scalar input.
+    """
+    z = np.floor(np.maximum((np.asarray(mean) - offset) / cell, 0.0))
+    out = np.minimum(offset + (z + 0.5) * cell, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def rep_mean(samples, params: RepMeanParams) -> float:

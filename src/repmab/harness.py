@@ -3,16 +3,20 @@
 A trial is deterministic given (instance, algorithm, algorithm seed,
 environment seed): algorithm randomness and environment randomness come
 from two separate labeled-stream roots, so paired trials can fix the
-former while redrawing the latter.  Per-round work is kept to plain
-scalar operations; everything epoch-shaped (estimate refreshes, oracle
-monitors, expected regret and violation) happens once per epoch.
+former while redrawing the latter.  The replicable policies freeze
+their strategy between epoch closes, so their trials are resolved an
+epoch at a time with array operations: the epoch's actions from the
+labeled per-round action uniforms, its end from the first doubling
+target hit, and feedback only for the (round, arm) pairs played.
+Everything epoch-shaped (estimate refreshes, oracle monitors, expected
+regret and violation) happens once per epoch.  Only the per-round UCB1
+baseline loops over rounds in Python.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +32,13 @@ from .environment import (
     instant_violation,
     solve_oracle,
 )
-from .randomness import RandomSource, StreamLabel, first_uniforms, validate_strategy
+from .randomness import (
+    RandomSource,
+    StreamLabel,
+    first_uniforms,
+    index_from_cdf,
+    validate_strategy,
+)
 
 __all__ = [
     "EpochRecord",
@@ -224,116 +234,122 @@ def run_trial(
     policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
     k = spec.k
     m = spec.m
-
-    rewards_tab, costs_tab = feedback_tables(spec, env, horizon)
-    reward_rows = rewards_tab.tolist()
-    cost_rows = [costs_tab[i].tolist() for i in range(m)]
-
-    actions = np.empty(horizon, dtype=np.int32)
-    rewards = np.empty(horizon)
-    costs = np.empty((m, horizon))
-    epoch_of_round = np.zeros(horizon, dtype=np.int32)
-    inst_regret = np.empty(horizon)
-    inst_violation = np.empty((m, horizon))
-
+    per_round = policy.kind == "per-round"
     log = TrialLog(
         algo=algo,
         horizon=horizon,
         m=m,
         xi_seed=xi_seed,
         env_seed=env_seed,
-        actions=actions,
-        rewards=rewards,
-        costs=costs,
-        epoch_of_round=epoch_of_round,
-        inst_regret=inst_regret,
-        inst_violation=inst_violation,
+        actions=np.empty(horizon, dtype=np.int32),
+        rewards=np.empty(horizon),
+        costs=np.empty((m, horizon)),
+        epoch_of_round=np.empty(horizon, dtype=np.int32),
+        inst_regret=np.empty(horizon),
+        inst_violation=np.empty((m, horizon)),
         epochs=[],
-        per_round_strategy=(policy.kind == "per-round"),
+        per_round_strategy=per_round,
     )
     log._k_hint = k
-
-    per_round = policy.kind == "per-round"
-    deterministic = policy.kind == "deterministic"
     if per_round:
-        _run_per_round(log, policy, spec, oracle, reward_rows, cost_rows)
-        log.finalize()
-        return log
-
-    action_u = (
-        None
-        if deterministic
-        else first_uniforms(xi, "action", rnd=np.arange(1, horizon + 1)).tolist()
-    )
-
-    observe = policy.observe
-    epochs = log.epochs
-    unsafe_rounds = 0
-
-    def open_epoch(t: int):
-        rec = _epoch_record(policy, oracle, spec, t)
-        epochs.append(rec)
-        x = validate_strategy(rec.x)
-        regret_const = instant_regret(spec, oracle, x)
-        viol_const = instant_violation(spec, x)
-        cdf = np.cumsum(x).tolist()
-        return rec, regret_const, viol_const, cdf
-
-    rec, regret_const, viol_const, cdf = open_epoch(1)
-    span_start = 1
-
-    def close_span(t_end: int) -> None:
-        # rounds span_start..t_end (inclusive) belonged to the current epoch
-        lo, hi = span_start - 1, t_end
-        epoch_of_round[lo:hi] = rec.h
-        inst_regret[lo:hi] = regret_const
-        for i in range(m):
-            inst_violation[i, lo:hi] = viol_const[i]
-
-    current_arm = getattr(policy, "current_arm", 0)
-    for t in range(1, horizon + 1):
-        if policy.pending_close:
-            close_span(t - 1)
-            policy.close_epoch()
-            rec, regret_const, viol_const, cdf = open_epoch(t)
-            span_start = t
-            if deterministic:
-                current_arm = policy.current_arm
-        if deterministic:
-            a = current_arm
-        else:
-            u = action_u[t - 1]
-            a = bisect_left(cdf, u)
-            if a >= k:
-                a = k - 1
-                while a > 0 and cdf[a] == cdf[a - 1]:
-                    a -= 1
-        tm1 = t - 1
-        r = reward_rows[tm1][a]
-        if m:
-            c_row = [cost_rows[i][tm1][a] for i in range(m)]
-            for i in range(m):
-                costs[i, tm1] = c_row[i]
-        else:
-            c_row = ()
-        observe(a, r, c_row)
-        actions[tm1] = a
-        rewards[tm1] = r
-        if not rec.safe:
-            unsafe_rounds += 1
-    close_span(horizon)
-
-    log.unsafe_rounds = unsafe_rounds
+        _run_per_round(log, policy, spec, oracle, env)
+    else:
+        _run_epochs(log, policy, spec, oracle, xi, env)
     log.finalize()
     if log.epoch_count > epoch_budget(k, horizon):
         raise RuntimeError("epoch budget exceeded")
     return log
 
 
-def _run_per_round(log, policy, spec, oracle, reward_rows, cost_rows) -> None:
+def _run_epochs(log, policy, spec, oracle, xi, env) -> None:
+    """Epoch policies: the strategy is frozen between closes, so each
+    epoch is resolved as a whole.  Its actions come from the per-round
+    labeled action uniforms (none for the deterministic policy), and
+    feedback is drawn only for the (round, arm) pairs actually played.
+    """
+    horizon = log.horizon
+    action_u = (
+        None
+        if policy.kind == "deterministic"
+        else first_uniforms(xi, "action", rnd=np.arange(1, horizon + 1))
+    )
+    lo = 0  # rounds lo+1..hi form the current epoch
+    while True:
+        rec = _epoch_record(policy, oracle, spec, lo + 1)
+        log.epochs.append(rec)
+        x = validate_strategy(rec.x)
+        arms = _epoch_actions(policy, x, action_u, lo, horizon)
+        hi = lo + arms.size
+        rounds = np.arange(lo + 1, hi + 1)
+        log.actions[lo:hi] = arms
+        log.epoch_of_round[lo:hi] = rec.h
+        log.inst_regret[lo:hi] = instant_regret(spec, oracle, x)
+        log.inst_violation[:, lo:hi] = instant_violation(spec, x)[:, None]
+        u = first_uniforms(env, "env-reward", arm=arms, rnd=rounds)
+        log.rewards[lo:hi] = u < spec.reward_means[arms]
+        if spec.m:
+            cons = np.arange(spec.m)[:, None]
+            u = first_uniforms(env, "env-cost", arm=arms, cons=cons, rnd=rounds)
+            log.costs[:, lo:hi] = u < spec.cost_means[:, arms]
+        if not rec.safe:
+            log.unsafe_rounds += hi - lo
+        policy.observe_epoch(arms, log.rewards[lo:hi], log.costs[:, lo:hi])
+        if hi == horizon:
+            # a target hit at round T would close at round T+1, which never comes
+            return
+        policy.close_epoch()
+        lo = hi
+
+
+_MIN_CHUNK = 256
+
+
+def _epoch_actions(policy, x, action_u, lo, horizon) -> np.ndarray:
+    """Arms pulled in the epoch that starts at round lo+1.
+
+    The epoch lasts until the first round at which some arm's count
+    reaches its doubling target, or until the horizon.  Zero-mass arms
+    are never drawn, so the shortest remaining distance to a target over
+    the arms with positive mass bounds the epoch from below; the
+    uniforms are mapped in chunks that start there and double until a
+    target is hit.
+    """
+    need = policy.targets - policy.state.counts
+    left = horizon - lo
+    if action_u is None:
+        arm = policy.current_arm
+        return np.full(min(int(need[arm]), left), arm, dtype=np.int32)
+    cdf = np.cumsum(x)
+    n = min(max(int(need[x > 0].min()), _MIN_CHUNK), left)
+    while True:
+        arms = index_from_cdf(cdf, action_u[lo : lo + n])
+        hit = _first_target_hit(arms, need)
+        if hit >= 0:
+            return arms[: hit + 1]
+        if n == left:
+            return arms
+        n = min(2 * n, left)
+
+
+def _first_target_hit(arms: np.ndarray, need: np.ndarray) -> int:
+    """Index of the first pull that is the need[a]-th pull of its arm a,
+    or -1 if no arm is pulled that often."""
+    per_arm = np.bincount(arms, minlength=need.size)
+    reached = per_arm >= need
+    if not reached.any():
+        return -1
+    order = np.argsort(arms, kind="stable")
+    nth = np.cumsum(per_arm) - per_arm + need - 1
+    return int(order[nth[reached]].min())
+
+
+def _run_per_round(log, policy, spec, oracle, env) -> None:
     """Baseline path: strategy is the one-hot of the per-round pick."""
     m = spec.m
     horizon = log.horizon
+    rewards_tab, costs_tab = feedback_tables(spec, env, horizon)
+    reward_rows = rewards_tab.tolist()
+    cost_rows = [costs_tab[i].tolist() for i in range(m)]
     regret_of_arm = [
         instant_regret(spec, oracle, _onehot(spec.k, a)) for a in range(spec.k)
     ]

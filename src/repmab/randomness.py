@@ -39,6 +39,9 @@ _NONE_WORD = _MASK64
 _TWO53 = float(1 << 53)
 
 _U64 = np.uint64
+_U11, _U27, _U30, _U31 = _U64(11), _U64(27), _U64(30), _U64(31)
+_U_GOLDEN, _U_DOMAIN = _U64(_GOLDEN), _U64(_DOMAIN)
+_U_M1, _U_M2 = _U64(_MIX_M1), _U64(_MIX_M2)
 
 
 def _mix_int(z: int) -> int:
@@ -54,17 +57,17 @@ def _absorb_int(state: int, word: int) -> int:
 
 
 def _mix_u64(z: np.ndarray) -> np.ndarray:
-    """Vectorized twin of _mix_int; operates on uint64 ndarrays."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U64(30))) * _U64(_MIX_M1)
-        z = (z ^ (z >> _U64(27))) * _U64(_MIX_M2)
-        return z ^ (z >> _U64(31))
+    """Vectorized twin of _mix_int; operates on uint64 ndarrays.
 
-
-def _absorb_u64(state: np.ndarray, word: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        shifted = (state + _U64(_GOLDEN)) ^ _mix_u64(word ^ _U64(_DOMAIN))
-    return _mix_u64(shifted)
+    Wraps mod 2^64 like _mix_int; callers on numpy scalars silence the
+    overflow warning with ``np.errstate(over="ignore")``.
+    """
+    z = z ^ (z >> _U30)
+    z *= _U_M1
+    z ^= z >> _U27
+    z *= _U_M2
+    z ^= z >> _U31
+    return z
 
 
 def _purpose_word(purpose: str) -> int:
@@ -144,9 +147,10 @@ class UniformStream:
     def next_block(self, n: int) -> np.ndarray:
         """Next n uniforms as a float64 array."""
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        raw = _mix_u64(np.asarray(self._key, dtype=np.uint64) + idx * _U64(_GOLDEN))
+        with np.errstate(over="ignore"):
+            raw = _mix_u64(np.asarray(self._key, dtype=np.uint64) + idx * _U_GOLDEN)
         self._count += n
-        return (raw >> _U64(11)).astype(np.float64) / _TWO53
+        return (raw >> _U11).astype(np.float64) / _TWO53
 
     def copy(self) -> "UniformStream":
         return UniformStream(self._key, self._count)
@@ -200,30 +204,33 @@ def first_uniforms(
 
     Array-valued fields broadcast against each other; the result holds,
     for every label in the broadcast, exactly the value that
-    ``source.derive_stream(label).next_uniform()`` would return.
+    ``source.derive_stream(label).next_uniform()`` would return.  The
+    scalar fields ahead of the first array field are absorbed once, on
+    python ints, rather than once per label.
     """
-    state = np.asarray(source._root_state(), dtype=np.uint64)
-    fields = [
-        (purpose if isinstance(purpose, str) else None, "purpose"),
-        (epoch, "epoch"),
-        (arm, "arm"),
-        (cons, "cons"),
-        (rnd, "rnd"),
-    ]
-    state = _absorb_u64(state, np.asarray(_purpose_word(purpose), dtype=np.uint64))
-    for value, name in fields[1:]:
-        if value is None:
-            word = np.asarray(_NONE_WORD, dtype=np.uint64)
-        elif isinstance(value, (int, np.integer)):
-            word = np.asarray(_field_word(int(value), name), dtype=np.uint64)
-        else:
-            arr = np.asarray(value)
-            if arr.size and (arr.min() < 0 or arr.max() >= (1 << 63)):
-                raise ValueError(f"stream label field {name!r} out of range")
-            word = arr.astype(np.uint64)
-        state = _absorb_u64(state, word)
-    raw = _mix_u64(state + _U64(_GOLDEN))
-    return (raw >> _U64(11)).astype(np.float64) / _TWO53
+    state = _absorb_int(source._root_state(), _purpose_word(purpose))
+    fields = ((epoch, "epoch"), (arm, "arm"), (cons, "cons"), (rnd, "rnd"))
+    rest = len(fields)
+    for i, (value, name) in enumerate(fields):
+        if value is not None and not isinstance(value, (int, np.integer)):
+            rest = i
+            break
+        state = _absorb_int(state, _field_word(value, name))
+    state = np.asarray(state, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for value, name in fields[rest:]:
+            # the word half of _absorb_int, on python ints where it can be
+            if value is None or isinstance(value, (int, np.integer)):
+                mixed = _U64(_mix_int(_field_word(value, name) ^ _DOMAIN))
+            else:
+                # negative entries wrap to 2^63 and above
+                word = np.asarray(value).astype(np.uint64)
+                if word.size and word.max() >= (1 << 63):
+                    raise ValueError(f"stream label field {name!r} out of range")
+                mixed = _mix_u64(word ^ _U_DOMAIN)
+            state = _mix_u64((state + _U_GOLDEN) ^ mixed)
+        raw = _mix_u64(state + _U_GOLDEN)
+    return (raw >> _U11).astype(np.float64) / _TWO53
 
 
 def validate_strategy(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -239,20 +246,22 @@ def validate_strategy(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return x
 
 
-def index_from_cdf(cdf, u: float) -> int:
-    """Inverse-CDF lookup; boundary ties resolve to the lower arm index.
+def index_from_cdf(cdf, u):
+    """Inverse-CDF lookup of one uniform or an array of them.
 
-    cdf holds cumulative sums in ascending arm order.  If rounding left
-    the final cumulative sum short of 1 and u lands in the gap, the draw
-    goes to the last arm carrying positive mass.
+    cdf holds cumulative sums in ascending arm order.  The draw goes to
+    the lowest arm whose cumulative sum reaches u and that carries
+    positive mass: boundary ties resolve to the lower arm, and u == 0
+    skips leading zero-mass arms.  If rounding left the final cumulative
+    sum short of 1 and u lands in the gap, the draw goes to the last arm
+    carrying positive mass.  Returns an int for scalar u, else an array.
     """
-    k = len(cdf)
-    a = int(np.searchsorted(np.asarray(cdf), u, side="left"))
-    if a >= k:
-        a = k - 1
-        while a > 0 and cdf[a] == cdf[a - 1]:
-            a -= 1
-    return a
+    cdf = np.asarray(cdf, dtype=np.float64)
+    first = np.searchsorted(cdf, 0.0, side="right")
+    rises = np.flatnonzero(cdf[1:] != cdf[:-1])
+    last = int(rises[-1]) + 1 if rises.size else 0
+    a = np.minimum(np.maximum(np.searchsorted(cdf, u, side="left"), first), last)
+    return int(a) if np.ndim(u) == 0 else a
 
 
 def sample_categorical(stream: UniformStream, x: np.ndarray) -> int:

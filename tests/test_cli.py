@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 INSTANCE_DIR = Path(__file__).resolve().parents[1] / "instances"
 
 
@@ -97,6 +99,31 @@ def test_bad_flag_value_exits_one(tmp_path):
     assert result.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("run", "--horizon", "0"),
+        ("run", "--horizon", "-3"),
+        ("run", "--trials", "0"),
+        ("replicability", "--pairs", "0"),
+    ],
+)
+def test_count_flags_must_be_positive(tmp_path, command, flag, value):
+    result = run_cli(
+        command,
+        "--instance",
+        str(INSTANCE_DIR / "reference_unconstrained.json"),
+        "--algo",
+        "debora",
+        flag,
+        value,
+        "--out",
+        str(tmp_path / "x"),
+    )
+    assert result.returncode == 1
+    assert f"error: {flag} must be a positive integer" in result.stderr
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "exp.json"
     config.write_text(
@@ -123,6 +150,21 @@ def test_config_unknown_key_rejected(tmp_path):
     result = run_cli("run", "--config", str(config))
     assert result.returncode == 1
     assert "unknown config keys" in result.stderr
+
+
+@pytest.mark.parametrize("key, value", [("delta", "abc"), ("seed", "x"), ("trials", True)])
+def test_config_value_of_wrong_type_rejected(tmp_path, key, value):
+    config = tmp_path / "exp.json"
+    payload = {
+        "instance": str(INSTANCE_DIR / "reference_unconstrained.json"),
+        "algo": "debora",
+        "out": str(tmp_path / "x"),
+        key: value,
+    }
+    config.write_text(json.dumps(payload))
+    result = run_cli("run", "--config", str(config))
+    assert result.returncode == 1
+    assert f"config key '{key}' must be" in result.stderr
 
 
 def test_replicability_command(tmp_path):

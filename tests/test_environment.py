@@ -189,6 +189,21 @@ def test_from_dict_rejects_empty_safe_set():
         )
 
 
+@pytest.mark.parametrize("key, value", [("K", True), ("m", False), ("horizon", True)])
+def test_from_dict_rejects_json_booleans(key, value):
+    payload = {
+        "K": 1,
+        "m": 0,
+        "reward_means": [0.5],
+        "cost_means": [],
+        "thresholds": [],
+        "horizon": 10,
+    }
+    payload[key] = value
+    with pytest.raises(ValidationError, match=f"{key} must be"):
+        instance_from_dict(payload)
+
+
 def test_load_instance_reports_json_line(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n  "K": 2,\n  "m": oops\n}\n')

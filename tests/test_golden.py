@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repmab.algorithms import ConfigError, epoch_budget
 from repmab.cli import main as cli_main
 from repmab.environment import instance_from_dict, load_instance, solve_oracle
 from repmab.harness import run_trial
-from repmab.randomness import validate_strategy
+from repmab.randomness import RandomSource, first_uniforms, index_from_cdf, validate_strategy
 
 INSTANCE_DIR = Path(__file__).resolve().parents[1] / "instances"
 HORIZON = 20_000
@@ -167,8 +167,38 @@ def instances(draw):
     )
 
 
+def replayed_epoch_starts(actions, k: int) -> list[int]:
+    """Epoch start rounds from the doubling rule applied round by round:
+    an epoch closes after the round in which some arm reaches twice its
+    count at the epoch start (at least 1), unless that round is the last."""
+    counts = np.zeros(k, dtype=int)
+    at_start = counts.copy()
+    starts = [1]
+    for t, a in enumerate(actions, start=1):
+        counts[a] += 1
+        if counts[a] >= max(2 * at_start[a], 1) and t < len(actions):
+            starts.append(t + 1)
+            at_start = counts.copy()
+    return starts
+
+
+def _edge_instance(k: int, horizon: int):
+    return instance_from_dict(
+        {
+            "K": k,
+            "m": 1,
+            "reward_means": [0.3 + 0.1 * a for a in range(k)],
+            "cost_means": [[0.2] * k],
+            "thresholds": [0.5],
+            "horizon": horizon,
+        }
+    )
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=instances(), seeds=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
+@example(spec=_edge_instance(1, 300), seeds=(1, 2))
+@example(spec=_edge_instance(4, 1), seeds=(3, 4))
 def test_trial_invariants_on_random_instances(spec, seeds):
     oracle = solve_oracle(spec)
     for algo in ("debora", "debora-s", "debora-h", "ucb1"):
@@ -184,10 +214,18 @@ def test_trial_invariants_on_random_instances(spec, seeds):
         if algo == "ucb1":
             continue
         assert log.epoch_count <= epoch_budget(spec.k, spec.horizon)
+        assert [rec.t_start for rec in log.epochs] == replayed_epoch_starts(log.actions, spec.k)
+        uniforms = first_uniforms(
+            RandomSource(seeds[0]), "action", rnd=np.arange(1, spec.horizon + 1)
+        )
         for rec in log.epochs:
             validate_strategy(rec.x)
             assert log.epoch_of_round[rec.t_start - 1] == rec.h
-            assert np.all(rec.x[log.actions[log.epoch_of_round == rec.h]] > 0.0)
+            played = log.epoch_of_round == rec.h
+            assert np.all(rec.x[log.actions[played]] > 0.0)
+            # one-hot for debora, whose actions draw no uniforms
+            expected = index_from_cdf(np.cumsum(rec.x), uniforms[played])
+            assert np.array_equal(log.actions[played], expected)
         if algo == "debora-h" and spec.m:
             cap = 1.0 / (1.0 + oracle.lambda_min)
             assert all(0.0 <= rec.sigma <= cap for rec in log.epochs)

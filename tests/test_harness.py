@@ -68,6 +68,20 @@ def test_actions_consistent_with_labeled_uniforms(reference_soft):
         assert log.actions[t - 1] == index_from_cdf(cdf, uniforms[t - 1])
 
 
+def test_feedback_is_the_table_entry_of_the_played_arm(reference_soft):
+    """Feedback drawn for the played (round, arm) pairs equals the full
+    realization table at [t-1, a_t]."""
+    from repmab.environment import feedback_tables
+    from repmab.randomness import RandomSource
+
+    rounds = np.arange(600)
+    rewards, costs = feedback_tables(reference_soft, RandomSource(27), 600)
+    for algo in ("debora", "debora-s", "debora-h"):
+        log = run_trial(reference_soft, algo, 26, 27, delta=0.05, rho=0.2, horizon=600)
+        assert np.array_equal(log.rewards, rewards[rounds, log.actions])
+        assert np.array_equal(log.costs, costs[:, rounds, log.actions])
+
+
 def test_clean_flags_expand_per_round(reference_soft):
     log = run_trial(reference_soft, "debora-s", 5, 6, delta=0.05, rho=0.2, horizon=400)
     flags = log.clean_flags()

@@ -11,6 +11,7 @@ from repmab.randomness import (
     _mix_int,
     _mix_u64,
     first_uniforms,
+    index_from_cdf,
     sample_categorical,
     validate_strategy,
 )
@@ -87,6 +88,20 @@ def test_first_uniforms_matches_derive_stream():
             assert grid[t - 1, a] == src.derive_stream(label).next_uniform()
 
 
+def test_first_uniforms_scalar_prefix_and_trailing_fields():
+    src = RandomSource(321)
+    only_scalars = first_uniforms(src, "offset-reward", epoch=3, arm=2)
+    label = StreamLabel("offset-reward", epoch=3, arm=2)
+    assert float(only_scalars) == src.derive_stream(label).next_uniform()
+    # trailing unset fields after an array field
+    row = first_uniforms(src, "offset-cost", epoch=5, arm=np.array([0, 4]), cons=1)
+    for j, a in enumerate((0, 4)):
+        label = StreamLabel("offset-cost", epoch=5, arm=a, cons=1)
+        assert row[j] == src.derive_stream(label).next_uniform()
+    with pytest.raises(ValueError, match="arm"):
+        first_uniforms(src, "env-reward", arm=np.array([0, -1]), rnd=1)
+
+
 def test_scalar_and_vector_mixers_agree():
     values = [0, 1, 2**31, 2**63 - 1, 2**64 - 1, 0xDEADBEEF]
     vec = _mix_u64(np.array(values, dtype=np.uint64))
@@ -131,6 +146,15 @@ def test_categorical_inverse_cdf_by_hand():
     assert sample_categorical(FixedStream([0.75]), x) == 1
     # boundary tie resolves to the lower arm
     assert sample_categorical(FixedStream([0.5]), x) == 0
+
+
+def test_categorical_never_picks_zero_mass():
+    # u == 0.0 used to land on a leading zero-mass arm
+    assert sample_categorical(FixedStream([0.0]), np.array([0.0, 1.0])) == 1
+    assert sample_categorical(FixedStream([0.0]), np.array([0.0, 0.0, 0.25, 0.75])) == 2
+    x = np.array([0.0, 0.5, 0.0, 0.5])
+    u = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert index_from_cdf(np.cumsum(x), u).tolist() == [1, 1, 1, 3, 3]
 
 
 def test_categorical_monte_carlo_frequencies():
