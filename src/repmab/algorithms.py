@@ -29,7 +29,13 @@ from . import polytope
 from .environment import InstanceSpec, OracleSolution
 from .estimator import confidence_widths, snap_to_grid
 from .polytope import Infeasible, SimplexPolytopeLP
-from .randomness import RandomSource, first_uniforms
+from .randomness import (
+    RandomSource,
+    absorb_words,
+    field_words,
+    finish_uniforms,
+    label_states,
+)
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -115,11 +121,11 @@ def mixing_coefficient(
     nothing is at risk.
     """
     at_risk = optimistic_costs > thresholds
-    if not bool(np.any(at_risk)):
+    if not at_risk.any():
         return 0.0
     capped = np.minimum(optimistic_costs[at_risk], 1.0)
     excess = capped - thresholds[at_risk]
-    return float(np.max(excess / (excess + margins[at_risk])))
+    return float((excess / (excess + margins[at_risk])).max())
 
 
 class _EpochDoublingPolicy:
@@ -129,6 +135,11 @@ class _EpochDoublingPolicy:
     whole epoch at a time and reports it through ``observe_epoch``.  An
     epoch ends at the first round where some arm's pull count reaches
     its target, twice its count at the epoch start.
+
+    Tracked signals are indexed by row: row 0 is the reward and row i+1
+    the cost of constraint i.  The ``arm`` and ``cons`` words of the
+    offset labels are mixed once per trial into ``arm_words`` and
+    ``cons_words`` (row 0 carries the unset ``cons`` of the reward).
     """
 
     kind = "sampled"  # harness draws the action from x_current
@@ -166,19 +177,22 @@ class _EpochDoublingPolicy:
         )
         self.targets = np.ones(k, dtype=np.int64)
         # feedback is 0/1, so these float sums are exact success counts
-        self.reward_sums = np.zeros(k)
-        self.cost_sums = np.zeros((m, k))
+        self.sums = np.zeros((m + 1, k))
+        self._row_offsets = k * np.arange(m + 1)[:, None]
+        self.arm_words = field_words(np.arange(k), "arm")
+        cons = [None, *range(m)]
+        self.cons_words = np.array([field_words(c, "cons") for c in cons])[:, None]
         self.last_fallback = False
         self._select()
 
-    def observe_epoch(self, arms: np.ndarray, rewards: np.ndarray, costs: np.ndarray) -> None:
-        """Fold in one epoch of play: the pulled arms and, per round, the
-        realized reward and the (spec.m, L) realized costs."""
+    def observe_epoch(self, arms: np.ndarray, feedback: np.ndarray) -> None:
+        """Fold in one epoch of play: the pulled arms and the realized
+        (spec.m+1, L) feedback, reward in row 0 and costs below."""
         k = self.spec.k
         self.state.counts += np.bincount(arms, minlength=k)
-        self.reward_sums += np.bincount(arms, weights=rewards, minlength=k)
-        for i in range(self.m):
-            self.cost_sums[i] += np.bincount(arms, weights=costs[i], minlength=k)
+        cells = (arms + self._row_offsets).ravel()
+        weights = feedback[: self.m + 1].ravel()
+        self.sums += np.bincount(cells, weights, self.sums.size).reshape(self.sums.shape)
 
     # -- epoch boundary -----------------------------------------------
 
@@ -187,7 +201,7 @@ class _EpochDoublingPolicy:
         st = self.state
         counts = st.counts
         prior_caps = np.maximum(2 * st.epoch_start_counts, 1)
-        if np.any(counts > prior_caps):
+        if (counts > prior_caps).any():
             raise RuntimeError("doubling discipline violated inside an epoch")
         st.h += 1
         if st.h > epoch_budget(self.spec.k, self.horizon):
@@ -208,16 +222,23 @@ class _EpochDoublingPolicy:
         labeled stream, scaled by the arm's cell width.
         """
         st = self.state
-        n = st.counts[arms]
         cell = st.zeta[arms]
-        offset = first_uniforms(self.xi, "offset-reward", epoch=st.h, arm=arms) * cell
-        st.r_hat[arms] = snap_to_grid(self.reward_sums[arms] / n, cell, offset)
+        offset = self._offset_uniforms(arms) * cell
+        est = snap_to_grid(self.sums[:, arms] / st.counts[arms], cell, offset)
+        st.r_hat[arms] = est[0]
+        st.g_hat[:, arms] = est[1:]
+
+    def _offset_uniforms(self, arms: np.ndarray) -> np.ndarray:
+        """First uniforms of this epoch's grid-offset labels, (m+1, n):
+        ``offset-reward`` in row 0, ``offset-cost`` of constraint i in
+        row i+1, one column per arm, from one pass over the word tables."""
+        h = self.state.h
+        rows = [label_states(self.xi, "offset-reward", epoch=h, through="epoch")]
         if self.m:
-            offset = first_uniforms(
-                self.xi, "offset-cost", epoch=st.h, arm=arms[None, :],
-                cons=np.arange(self.m)[:, None],
-            ) * cell
-            st.g_hat[:, arms] = snap_to_grid(self.cost_sums[:, arms] / n, cell, offset)
+            rows += [label_states(self.xi, "offset-cost", epoch=h, through="epoch")] * self.m
+        states = absorb_words(np.array(rows, dtype=np.uint64)[:, None], self.arm_words[arms])
+        states = absorb_words(states, self.cons_words)
+        return finish_uniforms(states, field_words(None, "rnd"))
 
     def _update_estimates(self) -> None:
         raise NotImplementedError

@@ -19,7 +19,12 @@ from pathlib import Path
 
 from .algorithms import ALGORITHM_NAMES, ConfigError
 from .environment import ValidationError, load_instance
-from .harness import aggregate_and_export, run_batch, run_replicability_experiment
+from .harness import (
+    aggregate_and_export,
+    run_batch,
+    run_replicability_experiment,
+    write_pairs_csv,
+)
 
 # the JSON type each config key takes (float keys also accept integers)
 _CONFIG_KEYS = {
@@ -166,15 +171,7 @@ def _cmd_replicability(args) -> int:
         encoding="utf-8",
     )
     print(report_path)
-    pairs_path = out_dir / "pairs.csv"
-    with pairs_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("pair,xi_seed,env_seed_1,env_seed_2,strategies_match,actions_match\n")
-        for row in report.pair_results:
-            fh.write(
-                f"{row['pair']},{row['xi_seed']},{row['env_seed_1']},"
-                f"{row['env_seed_2']},{int(row['strategies_match'])},"
-                f"{int(row['actions_match'])}\n"
-            )
+    pairs_path = write_pairs_csv(report, out_dir)
     print(pairs_path)
     return 0
 

@@ -18,9 +18,11 @@ import numpy as np
 
 from . import polytope
 from .polytope import Infeasible, SimplexPolytopeLP
-from .randomness import RandomSource, StreamLabel, first_uniforms
+from .randomness import RandomSource, field_words, finish_uniforms, label_states
+from .randomness import first_uniforms  # noqa: F401  (perfbench/tracer.py wraps it by name)
 
 __all__ = [
+    "FeedbackStreams",
     "InstanceSpec",
     "OracleSolution",
     "ValidationError",
@@ -234,11 +236,12 @@ def solve_oracle(spec: InstanceSpec) -> OracleSolution:
         lam = np.zeros(0)
         lambda_min = math.inf
     else:
-        x_diamond, worst_excess = polytope.least_violation_strategy(
-            spec.cost_means, spec.thresholds
-        )
+        x_diamond, _ = polytope.least_violation_strategy(spec.cost_means, spec.thresholds)
         lam = spec.cost_means @ x_diamond
-        lambda_min = -worst_excess
+        # the worst margin x_diamond really has, not the LP's objective
+        # value: the sigma cap 1/(1+lambda_min) holds only for a margin
+        # that no constraint's own margin falls below, even by rounding
+        lambda_min = float(np.min(spec.thresholds - lam))
     gaps = float(np.max(spec.reward_means)) - spec.reward_means
     return OracleSolution(
         x_star=x_star,
@@ -248,6 +251,32 @@ def solve_oracle(spec: InstanceSpec) -> OracleSolution:
         lambda_min=lambda_min,
         gaps=gaps,
     )
+
+
+class FeedbackStreams:
+    """Label-prefix states of every feedback signal for one environment seed.
+
+    ``states`` is an (m+1, K) table: row 0 holds the ``env-reward``
+    stream states and row i+1 the ``env-cost`` states of constraint i,
+    one column per arm, each absorbed up to and including ``cons``.  A
+    draw then only absorbs the round word and mixes once more, and
+    realizes each signal as 1 when its uniform falls below the mean.
+    """
+
+    __slots__ = ("states", "means")
+
+    def __init__(self, spec: InstanceSpec, env: RandomSource):
+        arms = np.arange(spec.k)
+        self.states = np.vstack([
+            label_states(env, "env-reward", arm=arms),
+            label_states(env, "env-cost", arm=arms, cons=np.arange(spec.m)[:, None]),
+        ])
+        self.means = np.vstack([spec.reward_means, spec.cost_means])
+
+    def draw(self, arms, rnd_words) -> np.ndarray:
+        """Boolean (m+1, ...) feedback of pulling ``arms`` at the rounds
+        whose ``field_words`` are ``rnd_words`` (the two broadcast)."""
+        return finish_uniforms(self.states[:, arms], rnd_words) < self.means[:, arms]
 
 
 def sample_feedback(
@@ -261,13 +290,8 @@ def sample_feedback(
     """
     if not (0 <= arm < spec.k):
         raise ValueError(f"arm index {arm} outside [0, {spec.k})")
-    u = env.uniform(StreamLabel("env-reward", arm=arm, rnd=rnd))
-    reward = 1.0 if u < spec.reward_means[arm] else 0.0
-    costs = np.empty(spec.m)
-    for i in range(spec.m):
-        ui = env.uniform(StreamLabel("env-cost", arm=arm, cons=i, rnd=rnd))
-        costs[i] = 1.0 if ui < spec.cost_means[i, arm] else 0.0
-    return reward, costs
+    feedback = FeedbackStreams(spec, env).draw(arm, field_words(rnd, "rnd"))
+    return float(feedback[0]), feedback[1:].astype(np.float64)
 
 
 def feedback_tables(
@@ -278,15 +302,10 @@ def feedback_tables(
     Entry [t-1, a] equals what sample_feedback(spec, a, t, env) returns,
     which is what lets trial loops read realizations by position.
     """
-    rounds = np.arange(1, horizon + 1)[:, None]
-    arms = np.arange(spec.k)[None, :]
-    u = first_uniforms(env, "env-reward", arm=arms, rnd=rounds)
-    rewards = (u < spec.reward_means[None, :]).astype(np.float64)
-    costs = np.empty((spec.m, horizon, spec.k))
-    for i in range(spec.m):
-        ui = first_uniforms(env, "env-cost", arm=arms, cons=i, rnd=rounds)
-        costs[i] = (ui < spec.cost_means[i][None, :]).astype(np.float64)
-    return rewards, costs
+    rounds = field_words(np.arange(1, horizon + 1)[:, None], "rnd")
+    feedback = FeedbackStreams(spec, env).draw(np.arange(spec.k)[None, :], rounds)
+    feedback = feedback.astype(np.float64)
+    return feedback[0], feedback[1:]
 
 
 def instant_regret(spec: InstanceSpec, oracle: OracleSolution, x: np.ndarray) -> float:

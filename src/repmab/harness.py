@@ -9,8 +9,13 @@ epoch at a time with array operations: the epoch's actions from the
 labeled per-round action uniforms, its end from the first doubling
 target hit, and feedback only for the (round, arm) pairs played.
 Everything epoch-shaped (estimate refreshes, oracle monitors, expected
-regret and violation) happens once per epoch.  Only the per-round UCB1
-baseline loops over rounds in Python.
+regret and violation) happens once per epoch, and the label work that
+every epoch would repeat (round words, feedback label prefixes) is
+tabulated once per trial.  Only the per-round UCB1 baseline loops over
+rounds in Python.
+
+Exports format each cell that is constant within an epoch (for UCB1,
+for an arm) once, and write each trial's rows with one join.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 from . import environment
 from .algorithms import epoch_budget, make_policy
 from .environment import (
+    FeedbackStreams,
     InstanceSpec,
     OracleSolution,
     feedback_tables,
@@ -35,10 +41,13 @@ from .environment import (
 from .randomness import (
     RandomSource,
     StreamLabel,
-    first_uniforms,
+    field_words,
+    finish_uniforms,
     index_from_cdf,
+    label_states,
     validate_strategy,
 )
+from .randomness import first_uniforms  # noqa: F401  (perfbench/tracer.py wraps it by name)
 
 __all__ = [
     "EpochRecord",
@@ -48,6 +57,7 @@ __all__ = [
     "run_batch",
     "run_replicability_experiment",
     "run_trial",
+    "write_pairs_csv",
 ]
 
 SAFETY_TOL = environment.SAFETY_TOL
@@ -175,23 +185,19 @@ def _epoch_record(policy, oracle, spec, t_start: int) -> EpochRecord:
     clean = True
     if h >= 1:
         played = st.epoch_start_counts >= 1
-        if bool(np.any(played)):
+        if played.any():
             r_err = np.abs(st.r_hat - spec.reward_means) > st.zeta
-            clean = not bool(np.any(r_err[played]))
+            clean = not r_err[played].any()
             if clean and policy.m:
-                g_err = (
-                    np.abs(st.g_hat - spec.cost_means) > st.zeta[None, :]
-                )
-                clean = not bool(np.any(g_err[:, played]))
+                g_err = np.abs(st.g_hat - spec.cost_means) > st.zeta
+                clean = not g_err[:, played].any()
     if policy.m:
-        lower = st.g_hat - st.zeta[None, :]
-        contains = bool(np.all(lower @ oracle.x_star <= spec.thresholds + SAFETY_TOL))
+        lower = st.g_hat - st.zeta
+        contains = bool((lower @ oracle.x_star <= spec.thresholds + SAFETY_TOL).all())
     else:
         contains = True
     if spec.m:
-        safe = bool(
-            np.all(spec.cost_means @ st.x_current <= spec.thresholds + SAFETY_TOL)
-        )
+        safe = bool((spec.cost_means @ st.x_current <= spec.thresholds + SAFETY_TOL).all())
     else:
         safe = True
     return EpochRecord(
@@ -266,13 +272,20 @@ def _run_epochs(log, policy, spec, oracle, xi, env) -> None:
     epoch is resolved as a whole.  Its actions come from the per-round
     labeled action uniforms (none for the deterministic policy), and
     feedback is drawn only for the (round, arm) pairs actually played.
+
+    The round words are mixed once per trial and serve both the action
+    uniforms and the feedback, whose label-prefix states are tabulated
+    once per trial too; an epoch's feedback is then one gather plus two
+    mixes over (m+1, L).
     """
     horizon = log.horizon
+    rnd_words = field_words(np.arange(1, horizon + 1), "rnd")
     action_u = (
         None
         if policy.kind == "deterministic"
-        else first_uniforms(xi, "action", rnd=np.arange(1, horizon + 1))
+        else finish_uniforms(label_states(xi, "action"), rnd_words)
     )
+    streams = FeedbackStreams(spec, env)
     lo = 0  # rounds lo+1..hi form the current epoch
     while True:
         rec = _epoch_record(policy, oracle, spec, lo + 1)
@@ -280,20 +293,16 @@ def _run_epochs(log, policy, spec, oracle, xi, env) -> None:
         x = validate_strategy(rec.x)
         arms = _epoch_actions(policy, x, action_u, lo, horizon)
         hi = lo + arms.size
-        rounds = np.arange(lo + 1, hi + 1)
         log.actions[lo:hi] = arms
         log.epoch_of_round[lo:hi] = rec.h
         log.inst_regret[lo:hi] = instant_regret(spec, oracle, x)
         log.inst_violation[:, lo:hi] = instant_violation(spec, x)[:, None]
-        u = first_uniforms(env, "env-reward", arm=arms, rnd=rounds)
-        log.rewards[lo:hi] = u < spec.reward_means[arms]
-        if spec.m:
-            cons = np.arange(spec.m)[:, None]
-            u = first_uniforms(env, "env-cost", arm=arms, cons=cons, rnd=rounds)
-            log.costs[:, lo:hi] = u < spec.cost_means[:, arms]
+        feedback = streams.draw(arms, rnd_words[lo:hi])
+        log.rewards[lo:hi] = feedback[0]
+        log.costs[:, lo:hi] = feedback[1:]
         if not rec.safe:
             log.unsafe_rounds += hi - lo
-        policy.observe_epoch(arms, log.rewards[lo:hi], log.costs[:, lo:hi])
+        policy.observe_epoch(arms, feedback)
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
             return
@@ -526,6 +535,52 @@ def _strategy_cell(x: np.ndarray) -> str:
     return ";".join(_fmt(v) for v in x)
 
 
+def _rounds_rows(trial_idx: int, log: TrialLog) -> str:
+    """The rounds.csv rows of one trial.
+
+    The strategy, regret and violation cells are constant within an
+    epoch (for the per-round baseline, for each arm), so each is
+    formatted once, from the first round it applies to.
+    """
+    keys = log.actions if log.per_round_strategy else log.epoch_of_round
+    uniq, first = np.unique(keys, return_index=True)
+    strategies = log.strategy_matrix()
+    x_cells = {}
+    tails = {}
+    for key, t0 in zip(uniq.tolist(), first.tolist()):
+        x_cells[key] = _strategy_cell(strategies[t0])
+        tail = [log.inst_regret[t0], *log.inst_violation[:, t0]]
+        tails[key] = ",".join(map(_fmt, tail))
+    signals = zip(log.rewards.tolist(), *log.costs.tolist())
+    return "".join(
+        f"{trial_idx},{t},{epoch},{action},{x_cells[key]},"
+        f"{','.join(map(repr, signal))},{tails[key]}\n"
+        for t, epoch, action, key, signal in zip(
+            range(1, log.horizon + 1),
+            log.epoch_of_round.tolist(),
+            log.actions.tolist(),
+            keys.tolist(),
+            signals,
+        )
+    )
+
+
+_PAIRS_HEADER = "pair,xi_seed,env_seed_1,env_seed_2,strategies_match,actions_match\n"
+
+
+def write_pairs_csv(report: ReplicabilityReport, out_dir: str | Path) -> Path:
+    """Write one row per trial pair of ``report`` to out_dir/pairs.csv."""
+    path = Path(out_dir) / "pairs.csv"
+    rows = "".join(
+        f"{row['pair']},{row['xi_seed']},{row['env_seed_1']},"
+        f"{row['env_seed_2']},{int(row['strategies_match'])},"
+        f"{int(row['actions_match'])}\n"
+        for row in report.pair_results
+    )
+    path.write_text(_PAIRS_HEADER + rows, encoding="utf-8", newline="\n")
+    return path
+
+
 def aggregate_and_export(
     logs: list[TrialLog],
     report: ReplicabilityReport | None,
@@ -536,13 +591,19 @@ def aggregate_and_export(
     Output bytes are a pure function of the inputs: floats are rendered
     with repr (shortest round-trip form), JSON keys are sorted, newlines
     are fixed.  Violation columns are omitted for unconstrained runs.
+    The logs must come from one configuration: the same algorithm, arm
+    count, constraint count and horizon.
     """
     if not logs:
         raise ValueError("need at least one trial log")
-    m = logs[0].m
-    horizon = logs[0].horizon
-    if any(log.m != m or log.horizon != horizon for log in logs):
-        raise ValueError("trial logs must share one horizon and constraint count")
+    first = logs[0]
+    config = (first.algo, first._k_hint, first.m, first.horizon)
+    if any((log.algo, log._k_hint, log.m, log.horizon) != config for log in logs):
+        raise ValueError(
+            "trial logs must share one algorithm, arm count, constraint count and horizon"
+        )
+    m = first.m
+    horizon = first.horizon
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -555,21 +616,7 @@ def aggregate_and_export(
     with rounds_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for trial_idx, log in enumerate(logs):
-            strategies = log.strategy_matrix()
-            for t in range(1, log.horizon + 1):
-                tm1 = t - 1
-                row = [
-                    str(trial_idx),
-                    str(t),
-                    str(int(log.epoch_of_round[tm1])),
-                    str(int(log.actions[tm1])),
-                    _strategy_cell(strategies[tm1]),
-                    _fmt(log.rewards[tm1]),
-                ]
-                row += [_fmt(log.costs[i, tm1]) for i in range(m)]
-                row.append(_fmt(log.inst_regret[tm1]))
-                row += [_fmt(log.inst_violation[i, tm1]) for i in range(m)]
-                fh.write(",".join(row) + "\n")
+            fh.write(_rounds_rows(trial_idx, log))
     written.append(rounds_path)
 
     regrets = np.array([log.regret_total for log in logs])
@@ -617,21 +664,14 @@ def aggregate_and_export(
     cum_violation /= len(logs)
     with curve_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,mean_cum_regret,mean_cum_violation\n")
-        for t in range(horizon):
-            fh.write(
-                f"{t + 1},{_fmt(cum_regret[t])},{_fmt(cum_violation[t])}\n"
+        fh.write("".join(
+            f"{t},{regret!r},{violation!r}\n"
+            for t, regret, violation in zip(
+                range(1, horizon + 1), cum_regret.tolist(), cum_violation.tolist()
             )
+        ))
     written.append(curve_path)
 
     if report is not None and report.pair_results:
-        pairs_path = out / "pairs.csv"
-        with pairs_path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("pair,xi_seed,env_seed_1,env_seed_2,strategies_match,actions_match\n")
-            for row in report.pair_results:
-                fh.write(
-                    f"{row['pair']},{row['xi_seed']},{row['env_seed_1']},"
-                    f"{row['env_seed_2']},{int(row['strategies_match'])},"
-                    f"{int(row['actions_match'])}\n"
-                )
-        written.append(pairs_path)
+        written.append(write_pairs_csv(report, out))
     return written

@@ -58,7 +58,7 @@ class SimplexPolytopeLP:
         if bnd.shape != (mat.shape[0],):
             raise ValueError("bounds length does not match constraint rows")
         for name, arr in (("objective", obj), ("constraint_matrix", mat), ("bounds", bnd)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite entries")
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraint_matrix", mat)
@@ -243,7 +243,7 @@ def _snap_dust(x: np.ndarray) -> np.ndarray:
     exactly while shifting any coordinate by at most K * _SNAP_TOL.
     """
     dust = (x > 0.0) & (x < _SNAP_TOL)
-    if bool(np.any(dust)):
+    if dust.any():
         x = x.copy()
         moved = float(np.sum(x[dust]))
         x[dust] = 0.0
@@ -263,7 +263,7 @@ def solve(lp: SimplexPolytopeLP, canonical: bool = True):
     mat = lp.constraint_matrix
     bnd = lp.bounds
     k = obj.size
-    if mat.shape[0] == 0 or bool(np.all(mat.max(axis=1) <= bnd)):
+    if mat.shape[0] == 0 or (mat.max(axis=1) <= bnd).all():
         best = int(np.argmax(obj))
         x = np.zeros(k)
         x[best] = 1.0

@@ -12,6 +12,15 @@ The generator is counter-mode integer mixing (the splitmix64 finalizer).
 A stream key is derived by absorbing the label words one at a time, so
 key derivation is a pure function of (seed, label); stream values are a
 pure function of (key, counter).
+
+Absorbing a field mixes its value into a word and then mixes that word
+into the state, so both halves can be shared.  ``field_words`` mixes the
+words of a field once, as a table; ``label_states`` absorbs a label
+prefix over a grid of leading fields; ``absorb_words`` and
+``finish_uniforms`` absorb word tables into states and read the first
+uniform.  ``first_uniforms`` is the composition for a whole label grid.
+Trials tabulate the prefixes and words they reuse, so a draw costs one
+absorb and one final mix.
 """
 
 from __future__ import annotations
@@ -25,7 +34,11 @@ __all__ = [
     "RandomSource",
     "StreamLabel",
     "UniformStream",
+    "absorb_words",
+    "field_words",
+    "finish_uniforms",
     "first_uniforms",
+    "label_states",
     "sample_categorical",
     "validate_strategy",
 ]
@@ -57,12 +70,13 @@ def _absorb_int(state: int, word: int) -> int:
 
 
 def _mix_u64(z: np.ndarray) -> np.ndarray:
-    """Vectorized twin of _mix_int; operates on uint64 ndarrays.
+    """Vectorized twin of _mix_int: mixes a fresh uint64 ndarray in
+    place and returns it (a numpy scalar is rebound instead).
 
     Wraps mod 2^64 like _mix_int; callers on numpy scalars silence the
     overflow warning with ``np.errstate(over="ignore")``.
     """
-    z = z ^ (z >> _U30)
+    z ^= z >> _U30
     z *= _U_M1
     z ^= z >> _U27
     z *= _U_M2
@@ -191,6 +205,87 @@ class RandomSource:
         return self.derive_stream(label).next_uniform()
 
 
+def field_words(value, name: str):
+    """Mixed word(s) of one label field: the half of an absorb that
+    depends only on the field's value.
+
+    Scalars (and None, the unset field) give a numpy uint64; arrays give
+    a uint64 array of the same shape.  A table of these, mixed once, can
+    be reused for every label that carries the same field values.
+    """
+    if value is None or isinstance(value, (int, np.integer)):
+        return _U64(_mix_int(_field_word(value, name) ^ _DOMAIN))
+    # negative entries wrap to 2^63 and above
+    word = np.asarray(value).astype(np.uint64)
+    if word.size and word.max() >= (1 << 63):
+        raise ValueError(f"stream label field {name!r} out of range")
+    return _mix_u64(word ^ _U_DOMAIN)
+
+
+def absorb_words(states, words) -> np.ndarray:
+    """Absorb pre-mixed field words into stream states (broadcasting).
+
+    States may be python ints.  When states and words are both scalars
+    the arithmetic is numpy scalar arithmetic, whose intended mod-2^64
+    wrap-around warns unless the caller enters
+    ``np.errstate(over="ignore")``.
+    """
+    return _mix_u64((np.asarray(states, dtype=np.uint64) + _U_GOLDEN) ^ words)
+
+
+def finish_uniforms(states, words) -> np.ndarray:
+    """Absorb one last field of pre-mixed words, then read each stream's
+    first uniform (its counter-1 value).  Scalars as in
+    ``absorb_words``."""
+    raw = absorb_words(states, words)
+    raw += _U_GOLDEN
+    raw = _mix_u64(raw)
+    raw >>= _U11
+    u = raw.astype(np.float64)
+    u /= _TWO53
+    return u
+
+
+_PREFIX_FIELDS = ("epoch", "arm", "cons")
+
+
+def label_states(
+    source: RandomSource,
+    purpose: str,
+    *,
+    epoch: int | np.ndarray | None = None,
+    arm: int | np.ndarray | None = None,
+    cons: int | np.ndarray | None = None,
+    through: str = "cons",
+):
+    """Stream states after absorbing the label prefix (purpose, epoch,
+    arm, cons), over the broadcast grid of the array-valued fields.
+
+    ``through`` names the last field absorbed ("purpose", "epoch",
+    "arm" or "cons"); the fields after it are left for the caller to
+    absorb from tables of ``field_words``.  Scalar fields ahead of the
+    first array field are absorbed on python ints, so an all-scalar
+    prefix gives a python int.  Finishing a full prefix with the ``rnd``
+    word through ``finish_uniforms`` gives the label's first uniform.
+    """
+    depth = 0 if through == "purpose" else _PREFIX_FIELDS.index(through) + 1
+    values = (epoch, arm, cons)
+    if any(value is not None for value in values[depth:]):
+        raise ValueError(f"label fields after {through!r} are absorbed by the caller")
+    state = _absorb_int(source._root_state(), _purpose_word(purpose))
+    fields = tuple(zip(values, _PREFIX_FIELDS))[:depth]
+    for i, (value, name) in enumerate(fields):
+        if value is not None and not isinstance(value, (int, np.integer)):
+            break
+        state = _absorb_int(state, _field_word(value, name))
+    else:
+        return state
+    state = np.asarray(state, dtype=np.uint64)
+    for value, name in fields[i:]:
+        state = absorb_words(state, field_words(value, name))
+    return state
+
+
 def first_uniforms(
     source: RandomSource,
     purpose: str,
@@ -204,33 +299,14 @@ def first_uniforms(
 
     Array-valued fields broadcast against each other; the result holds,
     for every label in the broadcast, exactly the value that
-    ``source.derive_stream(label).next_uniform()`` would return.  The
-    scalar fields ahead of the first array field are absorbed once, on
-    python ints, rather than once per label.
+    ``source.derive_stream(label).next_uniform()`` would return.  It is
+    ``label_states`` for the (purpose, epoch, arm, cons) prefix finished
+    with the ``rnd`` words; callers that draw many labels sharing a
+    prefix keep the states and the words as tables instead.
     """
-    state = _absorb_int(source._root_state(), _purpose_word(purpose))
-    fields = ((epoch, "epoch"), (arm, "arm"), (cons, "cons"), (rnd, "rnd"))
-    rest = len(fields)
-    for i, (value, name) in enumerate(fields):
-        if value is not None and not isinstance(value, (int, np.integer)):
-            rest = i
-            break
-        state = _absorb_int(state, _field_word(value, name))
-    state = np.asarray(state, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for value, name in fields[rest:]:
-            # the word half of _absorb_int, on python ints where it can be
-            if value is None or isinstance(value, (int, np.integer)):
-                mixed = _U64(_mix_int(_field_word(value, name) ^ _DOMAIN))
-            else:
-                # negative entries wrap to 2^63 and above
-                word = np.asarray(value).astype(np.uint64)
-                if word.size and word.max() >= (1 << 63):
-                    raise ValueError(f"stream label field {name!r} out of range")
-                mixed = _mix_u64(word ^ _U_DOMAIN)
-            state = _mix_u64((state + _U_GOLDEN) ^ mixed)
-        raw = _mix_u64(state + _U_GOLDEN)
-    return (raw >> _U11).astype(np.float64) / _TWO53
+        states = label_states(source, purpose, epoch=epoch, arm=arm, cons=cons)
+        return finish_uniforms(states, field_words(rnd, "rnd"))
 
 
 def validate_strategy(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -238,7 +314,7 @@ def validate_strategy(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("strategy must be a nonempty 1-d vector")
-    if np.any(x < 0.0):
+    if (x < 0.0).any():
         raise ValueError("strategy has negative entries")
     total = float(np.cumsum(x)[-1])
     if abs(total - 1.0) > tol:

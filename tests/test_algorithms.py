@@ -230,3 +230,45 @@ def test_ucb1_replay_deterministic():
     a = run_trial(spec, "ucb1", 1, 2, delta=0.05, rho=0.2, horizon=300)
     b = run_trial(spec, "ucb1", 1, 2, delta=0.05, rho=0.2, horizon=300)
     assert a.equals(b)
+
+
+@pytest.mark.parametrize("algo", ["debora", "debora-s", "debora-h"])
+def test_offset_uniforms_match_labeled_streams(reference_soft, algo):
+    """A close's grid offsets are the first uniforms of the labels
+    (offset-reward, h, a) and (offset-cost, h, a, i); estimates that snap
+    to their cap do not show them, so they are checked directly."""
+    from repmab.algorithms import make_policy
+    from repmab.environment import solve_oracle
+    from repmab.randomness import RandomSource, StreamLabel
+
+    xi = RandomSource(2**63 + 17)
+    policy = make_policy(algo, reference_soft, 1000, 0.05, 0.2, xi, solve_oracle(reference_soft))
+    arms = np.array([4, 0, 2])
+    for h in (1, 7, 2**40):
+        policy.state.h = h
+        grid = policy._offset_uniforms(arms)
+        assert grid.shape == (policy.m + 1, arms.size)
+        for j, a in enumerate(arms.tolist()):
+            label = StreamLabel("offset-reward", epoch=h, arm=a)
+            assert grid[0, j] == xi.derive_stream(label).next_uniform()
+            for i in range(policy.m):
+                label = StreamLabel("offset-cost", epoch=h, arm=a, cons=i)
+                assert grid[i + 1, j] == xi.derive_stream(label).next_uniform()
+
+
+def test_debora_h_sigma_cap_holds_at_tiny_margins():
+    """With margins near 1e-6 the LP's objective value exceeded the worst
+    margin of the returned strategy by rounding, and the first
+    selection tripped the sigma cap on a valid instance."""
+    from repmab.environment import InstanceSpec, solve_oracle
+
+    spec = InstanceSpec(
+        reward_means=np.array([0.0, 0.0]),
+        cost_means=np.array([[0.0, 1.0], [1e-10, 0.0]]),
+        thresholds=np.array([5.00001e-01, 1.00005e-06]),
+        horizon=1,
+    )
+    oracle = solve_oracle(spec)
+    assert oracle.lambda_min == float(np.min(spec.thresholds - oracle.lam))
+    log = run_trial(spec, "debora-h", 0, 0, delta=0.05, rho=0.2, oracle=oracle)
+    assert 0.0 < log.epochs[0].sigma <= 1.0 / (1.0 + oracle.lambda_min)

@@ -188,3 +188,34 @@ def test_replicability_command(tmp_path):
     report = json.loads((out / "replicability.json").read_text())
     assert report["pairs"] == 3
     assert (out / "pairs.csv").read_text().count("\n") == 1 + 3
+
+
+@pytest.mark.parametrize(
+    "algo, digest",
+    [
+        # every pair matches
+        ("debora-s", "f6ebbe47460763ceefd050b3a22718d5e24b7f749e81e04ac3ee28cd4a06b298"),
+        # no pair matches
+        ("ucb1", "1ed87fad890f7859200ff35879ff93e57a8d4a89b6afc998ad5bda611e9d60f9"),
+    ],
+)
+def test_replicability_pairs_csv_bytes_pinned(tmp_path, algo, digest):
+    import hashlib
+
+    out = tmp_path / "rep"
+    result = run_cli(
+        "replicability",
+        "--instance", str(INSTANCE_DIR / "reference_soft.json"),
+        "--algo", algo,
+        "--pairs", "4",
+        "--horizon", "300",
+        "--seed", "11",
+        "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    data = (out / "pairs.csv").read_bytes()
+    assert data.startswith(
+        b"pair,xi_seed,env_seed_1,env_seed_2,strategies_match,actions_match\n"
+        b"0,15984297838864645472,632414710531971012,1405432786595911805,"
+    )
+    assert hashlib.sha256(data).hexdigest() == digest

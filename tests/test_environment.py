@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repmab.environment import (
+    FeedbackStreams,
     InstanceSpec,
     ValidationError,
     feedback_tables,
@@ -16,7 +19,7 @@ from repmab.environment import (
     sample_feedback,
     solve_oracle,
 )
-from repmab.randomness import RandomSource
+from repmab.randomness import RandomSource, field_words
 
 
 def make_spec(reward, costs, thresholds, horizon=100):
@@ -229,3 +232,43 @@ def test_sample_feedback_rejects_bad_arm():
     spec = make_spec([0.5, 0.5], [], [])
     with pytest.raises(ValueError, match="arm index"):
         sample_feedback(spec, 2, 1, RandomSource(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    m=st.integers(0, 2),
+    horizon=st.integers(1, 12),
+    env_seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+@example(k=1, m=0, horizon=1, env_seed=0, data=None)
+def test_pair_feedback_is_the_table_entry(k, m, horizon, env_seed, data):
+    """Feedback drawn for arbitrary (arm, round) pairs equals the full
+    realization tables at [t-1, a], and so does sample_feedback."""
+    rng = np.random.default_rng(env_seed % 2**32 + k + 10 * m)
+    costs = rng.uniform(size=(m, k))
+    spec = make_spec(rng.uniform(size=k), costs, costs.max(axis=1, initial=0.0), horizon)
+    env = RandomSource(env_seed)
+    rewards, cost_tab = feedback_tables(spec, env, horizon)
+    if data is None:
+        arms, rounds = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    else:
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(1, horizon)), min_size=1, max_size=20
+        ))
+        arms, rounds = (np.array(col) for col in zip(*pairs))
+    drawn = FeedbackStreams(spec, env).draw(arms, field_words(rounds, "rnd"))
+    assert drawn.shape == (m + 1, arms.size)
+    assert np.array_equal(drawn[0], rewards[rounds - 1, arms])
+    assert np.array_equal(drawn[1:], cost_tab[:, rounds - 1, arms])
+    for a, t in zip(arms.tolist(), rounds.tolist()):
+        reward, c = sample_feedback(spec, a, t, env)
+        assert reward == rewards[t - 1, a]
+        assert np.array_equal(c, cost_tab[:, t - 1, a])
+
+
+def test_sample_feedback_rejects_bad_round():
+    spec = make_spec([0.5, 0.5], [], [])
+    with pytest.raises(ValueError, match="rnd"):
+        sample_feedback(spec, 0, -1, RandomSource(0))

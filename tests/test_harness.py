@@ -236,3 +236,41 @@ def test_ucb1_pairs_reported_not_asserted(reference_unconstrained, capsys):
     )
     assert 0.0 <= ucb_report.rate <= 1.0
     assert 0.0 <= deb_report.rate <= 1.0
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        dict(algo="ucb1"),  # another algorithm
+        dict(spec="reference_unconstrained"),  # another arm and constraint count
+        dict(horizon=80),  # another horizon
+    ],
+)
+def test_export_rejects_mixed_logs(tmp_path, request, other):
+    kwargs = dict(delta=0.05, rho=0.2, trials=1, seed=3, horizon=60)
+    base = run_batch(request.getfixturevalue("reference_soft"), "debora-s", **kwargs)
+    spec = request.getfixturevalue(other.pop("spec", "reference_soft"))
+    kwargs.update(other)
+    algo = kwargs.pop("algo", "debora-s")
+    mixed = base + run_batch(spec, algo, **kwargs)
+    with pytest.raises(ValueError, match="must share"):
+        aggregate_and_export(mixed, None, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_export_rejects_other_arm_count(tmp_path, reference_unconstrained):
+    wider = instance_from_dict(
+        {
+            "K": reference_unconstrained.k + 1,
+            "m": 0,
+            "reward_means": [0.5] * (reference_unconstrained.k + 1),
+            "cost_means": [],
+            "thresholds": [],
+            "horizon": 40,
+        }
+    )
+    kwargs = dict(delta=0.05, rho=0.2, trials=1, seed=3, horizon=40)
+    logs = run_batch(reference_unconstrained, "debora", **kwargs)
+    logs += run_batch(wider, "debora", **kwargs)
+    with pytest.raises(ValueError, match="arm count"):
+        aggregate_and_export(logs, None, tmp_path / "out")

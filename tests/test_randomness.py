@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from repmab.randomness import (
@@ -10,8 +12,12 @@ from repmab.randomness import (
     UniformStream,
     _mix_int,
     _mix_u64,
+    absorb_words,
+    field_words,
+    finish_uniforms,
     first_uniforms,
     index_from_cdf,
+    label_states,
     sample_categorical,
     validate_strategy,
 )
@@ -203,3 +209,79 @@ def test_stream_copy_is_independent():
     stream.next_uniform()
     clone = stream.copy()
     assert clone.next_uniform() == stream.next_uniform()
+
+
+_MAX_FIELD = 2**63 - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    purpose=st.sampled_from(["offset-reward", "offset-cost", "env-cost", "action"]),
+    epoch=st.one_of(st.none(), st.integers(0, _MAX_FIELD)),
+    k=st.integers(1, 4),
+    m=st.integers(0, 3),
+    horizon=st.integers(1, 4),
+    last_rnd=st.integers(4, _MAX_FIELD),
+)
+@example(seed=2**64 - 1, purpose="offset-cost", epoch=_MAX_FIELD, k=1, m=0,
+         horizon=1, last_rnd=_MAX_FIELD)
+@example(seed=0, purpose="env-cost", epoch=None, k=1, m=2, horizon=4, last_rnd=4)
+def test_prefix_tables_match_derive_stream(seed, purpose, epoch, k, m, horizon, last_rnd):
+    """Per-trial word tables, absorbed onto one label prefix, give the
+    first uniform of every (arm, cons, rnd) label, up to rnd = T."""
+    src = RandomSource(seed)
+    rounds = np.array(range(last_rnd - horizon + 1, last_rnd + 1), dtype=np.uint64)
+    cons = [None, *range(m)]
+    arm_words = field_words(np.arange(k), "arm")
+    cons_words = np.array([field_words(c, "cons") for c in cons])[:, None]
+    states = absorb_words(label_states(src, purpose, epoch=epoch, through="epoch"), arm_words)
+    states = absorb_words(states, cons_words)
+    grid = finish_uniforms(states[:, :, None], field_words(rounds, "rnd"))
+    assert grid.shape == (m + 1, k, horizon)
+    for row, c in enumerate(cons):
+        for a in range(k):
+            for j, t in enumerate(rounds.tolist()):
+                label = StreamLabel(purpose, epoch=epoch, arm=a, cons=c, rnd=t)
+                assert grid[row, a, j] == src.derive_stream(label).next_uniform()
+
+
+def test_label_states_grid_matches_scalar_prefixes():
+    src = RandomSource(99)
+    grid = label_states(src, "env-cost", arm=np.arange(3)[None, :], cons=np.arange(2)[:, None])
+    assert grid.shape == (2, 3) and grid.dtype == np.uint64
+    for i in range(2):
+        for a in range(3):
+            assert int(grid[i, a]) == label_states(src, "env-cost", arm=a, cons=i)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**63, np.array([0, -1]), np.array([2**63], dtype=np.uint64)])
+def test_field_words_reject_out_of_range(bad):
+    with pytest.raises(ValueError, match="rnd"):
+        field_words(bad, "rnd")
+
+
+def test_table_entry_points_reject_out_of_range_fields():
+    src = RandomSource(3)
+    with pytest.raises(ValueError, match="epoch"):
+        label_states(src, "offset-reward", epoch=-1)
+    with pytest.raises(ValueError, match="arm"):
+        label_states(src, "env-reward", arm=np.array([2, -4]))
+    with pytest.raises(ValueError, match="cons"):
+        label_states(src, "env-cost", arm=0, cons=2**63)
+    with pytest.raises(ValueError, match="rnd"):
+        first_uniforms(src, "action", rnd=np.array([1, -3]))
+    with pytest.raises(ValueError, match="purpose"):
+        label_states(src, "")
+
+
+def test_label_states_stops_at_through():
+    src = RandomSource(8)
+    after_epoch = label_states(src, "offset-cost", epoch=5, through="epoch")
+    arm_word = field_words(np.array([3]), "arm")
+    cons_word = field_words(1, "cons")
+    state = absorb_words(absorb_words(after_epoch, arm_word), cons_word)
+    assert int(state[0]) == label_states(src, "offset-cost", epoch=5, arm=3, cons=1)
+    assert label_states(src, "action", through="purpose") != label_states(src, "action")
+    with pytest.raises(ValueError, match="after 'epoch'"):
+        label_states(src, "offset-cost", epoch=5, arm=3, through="epoch")
