@@ -14,8 +14,13 @@ exploration bonus), then reselect:
   strictly safe strategy whenever some constraint looks at risk, which
   keeps every played strategy safe with high probability.
 
+The trial engine plays whatever strategy an epoch policy holds in
+``state.x_current``; it never asks which variant produced it, so the
+one-hot strategies of ``debora`` take the same path as any other.
+
 ``ucb1`` is the classic per-round index policy, included as a
-non-replicable contrast; it shares no epoch machinery.
+non-replicable contrast; it shares no epoch machinery and is driven
+through ``pick(t)`` and ``observe(arm, reward)``.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "ALGORITHM_NAMES",
     "ConfigError",
     "EpochState",
+    "Ucb1",
     "ceil_log2",
     "epoch_budget",
     "make_policy",
@@ -141,8 +147,6 @@ class _EpochDoublingPolicy:
     offset labels are mixed once per trial into ``arm_words`` and
     ``cons_words`` (row 0 carries the unset ``cons`` of the reward).
     """
-
-    kind = "sampled"  # harness draws the action from x_current
 
     def __init__(
         self,
@@ -249,27 +253,24 @@ class _EpochDoublingPolicy:
 
 class Debora(_EpochDoublingPolicy):
     """Unconstrained variant: one optimistic arm per epoch, chosen
-    deterministically, so no action sampling happens at all."""
+    deterministically; its one-hot strategy makes every action that arm."""
 
     name = "debora"
-    kind = "deterministic"
 
     def __init__(self, spec, horizon, delta, rho, xi, oracle):
         denominator = 2 * spec.k * max(1, ceil_log2(horizon))
-        self.current_arm = 0
         super().__init__(
             spec, horizon, delta, rho, xi, oracle, denominator, track_costs=False
         )
 
     def _update_estimates(self) -> None:
         # only the arm just played has new samples
-        self._refresh(np.array([self.current_arm]))
+        self._refresh(np.flatnonzero(self.state.x_current))
 
     def _select(self) -> None:
         st = self.state
         # np.argmax returns the first maximizer: ties go to the lowest arm.
         arm = int(np.argmax(st.r_hat + st.zeta))
-        self.current_arm = arm
         x = np.zeros(self.spec.k)
         x[arm] = 1.0
         st.x_current = x
@@ -349,7 +350,6 @@ class Ucb1:
     """
 
     name = "ucb1"
-    kind = "per-round"
 
     def __init__(self, spec, horizon, delta, rho, xi, oracle):
         self.spec = spec
@@ -371,7 +371,7 @@ class Ucb1:
                 best_arm = a
         return best_arm
 
-    def observe(self, arm: int, reward: float, costs) -> None:
+    def observe(self, arm: int, reward: float) -> None:
         self.sums[arm] += reward
         self.n[arm] += 1
 

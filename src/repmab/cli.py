@@ -125,46 +125,41 @@ def _check_count(value: int | None, key: str) -> int | None:
     return value
 
 
-def _cmd_run(args) -> int:
+def _trial_options(args, count_key: str, count_default: int):
+    """Instance, algorithm, trial keyword arguments and output directory
+    of ``run`` and ``replicability``, all checked before any trial runs;
+    the output directory is created here."""
     config = _load_config(args.config)
     spec = load_instance(_resolve(args, config, "instance", required=True))
     algo = _resolve(args, config, "algo", required=True)
     if algo not in ALGORITHM_NAMES:
         raise ValidationError(f"unknown algorithm {algo!r}")
-    logs = run_batch(
-        spec,
-        algo,
+    kwargs = dict(
         delta=float(_resolve(args, config, "delta", 0.05)),
         rho=float(_resolve(args, config, "rho", 0.2)),
-        trials=_check_count(_resolve(args, config, "trials", 1), "trials"),
         seed=_check_seed(_resolve(args, config, "seed", 0)),
         horizon=_check_count(_resolve(args, config, "horizon"), "horizon"),
     )
-    out_dir = _resolve(args, config, "out", required=True)
+    count = _check_count(_resolve(args, config, count_key, count_default), count_key)
+    out = Path(_resolve(args, config, "out", required=True))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out {out}: cannot create output directory: {exc}") from exc
+    return spec, algo, count, kwargs, out
+
+
+def _cmd_run(args) -> int:
+    spec, algo, trials, kwargs, out_dir = _trial_options(args, "trials", 1)
+    logs = run_batch(spec, algo, trials=trials, **kwargs)
     for path in aggregate_and_export(logs, None, out_dir):
         print(path)
     return 0
 
 
 def _cmd_replicability(args) -> int:
-    config = _load_config(args.config)
-    spec = load_instance(_resolve(args, config, "instance", required=True))
-    algo = _resolve(args, config, "algo", required=True)
-    if algo not in ALGORITHM_NAMES:
-        raise ValidationError(f"unknown algorithm {algo!r}")
-    rho = float(_resolve(args, config, "rho", 0.2))
-    delta = float(_resolve(args, config, "delta", 0.05))
-    report = run_replicability_experiment(
-        spec,
-        algo,
-        rho=rho,
-        delta=delta,
-        n_pairs=_check_count(_resolve(args, config, "pairs", 50), "pairs"),
-        seed=_check_seed(_resolve(args, config, "seed", 0)),
-        horizon=_check_count(_resolve(args, config, "horizon"), "horizon"),
-    )
-    out_dir = Path(_resolve(args, config, "out", required=True))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    spec, algo, pairs, kwargs, out_dir = _trial_options(args, "pairs", 50)
+    report = run_replicability_experiment(spec, algo, n_pairs=pairs, **kwargs)
     report_path = out_dir / "replicability.json"
     report_path.write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",

@@ -6,16 +6,22 @@ from two separate labeled-stream roots, so paired trials can fix the
 former while redrawing the latter.  The replicable policies freeze
 their strategy between epoch closes, so their trials are resolved an
 epoch at a time with array operations: the epoch's actions from the
-labeled per-round action uniforms, its end from the first doubling
-target hit, and feedback only for the (round, arm) pairs played.
-Everything epoch-shaped (estimate refreshes, oracle monitors, expected
-regret and violation) happens once per epoch, and the label work that
-every epoch would repeat (round words, feedback label prefixes) is
-tabulated once per trial.  Only the per-round UCB1 baseline loops over
-rounds in Python.
+labeled per-round action uniforms (in closed form when the strategy
+has one positive-mass arm, whichever policy chose it), its end from
+the first doubling target hit, and feedback only for the (round, arm)
+pairs played.  Everything epoch-shaped (estimate refreshes, oracle
+monitors) happens once per epoch, and the label work that every epoch
+would repeat (round words, feedback label prefixes) is tabulated once
+per trial.  Only the per-round UCB1 baseline loops over rounds in
+Python, and only to pick and observe.
 
-Exports format each cell that is constant within an epoch (for UCB1,
-for an arm) once, and write each trial's rows with one join.
+Every trial ends in one gather: play yields a strategy key per round
+(the epoch index, or the arm for UCB1, whose strategy is the one-hot
+of its pick) and a table of strategies per key; expected regret,
+violation and safety are evaluated once per key and gathered to rounds.
+
+Exports format each cell that depends on the round only through its
+key once, and write each trial's rows with one join.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import environment
-from .algorithms import epoch_budget, make_policy
+from .algorithms import Ucb1, epoch_budget, make_policy
 from .environment import (
     FeedbackStreams,
     InstanceSpec,
@@ -85,13 +91,15 @@ class EpochRecord:
 class TrialLog:
     """Complete record of one trial.
 
-    Per-round arrays are parallel over t = 1..T; epoch records carry the
-    strategies, so the per-round strategy is epochs[epoch_of_round[t-1]].x
-    (or the one-hot of the action for the per-round baseline).
+    Per-round arrays are parallel over t = 1..T.  Round t played the
+    strategy ``strategies[keys[t-1]]``: the key is the epoch index for
+    the epoch policies and the arm for the per-round baseline, whose
+    strategy is the one-hot of its pick.
     """
 
     algo: str
     horizon: int
+    k: int
     m: int
     xi_seed: int
     env_seed: int
@@ -99,11 +107,11 @@ class TrialLog:
     rewards: np.ndarray
     costs: np.ndarray
     epoch_of_round: np.ndarray
-    inst_regret: np.ndarray
-    inst_violation: np.ndarray
     epochs: list[EpochRecord]
-    per_round_strategy: bool
-    _k_hint: int = 1
+    keys: np.ndarray | None = None
+    strategies: np.ndarray | None = None
+    inst_regret: np.ndarray | None = None
+    inst_violation: np.ndarray | None = None
     regret_total: float = 0.0
     violation_total: float = 0.0
     epoch_count: int = 0
@@ -127,22 +135,20 @@ class TrialLog:
         self.containment_ok = all(e.contains_x_star for e in self.epochs)
         self.any_unsafe = self.unsafe_rounds > 0
 
+    def per_round(self, table) -> np.ndarray:
+        """Expand a table with one entry per strategy key to one per round."""
+        return np.asarray(table)[self.keys]
+
     def strategy_matrix(self) -> np.ndarray:
         """Per-round strategies as a (T, K) matrix."""
-        if self.per_round_strategy:
-            out = np.zeros((self.horizon, self._k_hint))
-            out[np.arange(self.horizon), self.actions] = 1.0
-            return out
-        stack = np.vstack([e.x for e in self.epochs])
-        return stack[self.epoch_of_round]
+        return self.per_round(self.strategies)
 
     def clean_flags(self) -> np.ndarray:
         """Per-round clean-event flag (True while estimates stay inside
-        their widths), expanded from the epoch records."""
-        if self.per_round_strategy:
-            return np.ones(self.horizon, dtype=bool)
-        per_epoch = np.array([e.clean for e in self.epochs], dtype=bool)
-        return per_epoch[self.epoch_of_round]
+        their widths); the per-round baseline keeps no estimates."""
+        clean = np.ones(len(self.strategies), dtype=bool)
+        clean[: len(self.epochs)] = [e.clean for e in self.epochs]
+        return self.per_round(clean)
 
     def same_strategy_sequence(self, other: "TrialLog") -> bool:
         return bool(np.array_equal(self.strategy_matrix(), other.strategy_matrix()))
@@ -179,6 +185,11 @@ class TrialLog:
         return True
 
 
+def _safe(spec, x: np.ndarray) -> bool:
+    """Whether strategy x meets every constraint in expectation."""
+    return bool((spec.cost_means @ x <= spec.thresholds + SAFETY_TOL).all())
+
+
 def _epoch_record(policy, oracle, spec, t_start: int) -> EpochRecord:
     st = policy.state
     h = st.h
@@ -196,10 +207,6 @@ def _epoch_record(policy, oracle, spec, t_start: int) -> EpochRecord:
         contains = bool((lower @ oracle.x_star <= spec.thresholds + SAFETY_TOL).all())
     else:
         contains = True
-    if spec.m:
-        safe = bool((spec.cost_means @ st.x_current <= spec.thresholds + SAFETY_TOL).all())
-    else:
-        safe = True
     return EpochRecord(
         h=h,
         t_start=t_start,
@@ -212,7 +219,7 @@ def _epoch_record(policy, oracle, spec, t_start: int) -> EpochRecord:
         fallback=policy.last_fallback,
         clean=clean,
         contains_x_star=contains,
-        safe=safe,
+        safe=_safe(spec, st.x_current),
     )
 
 
@@ -238,40 +245,47 @@ def run_trial(
     xi = RandomSource(xi_seed)
     env = RandomSource(env_seed)
     policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
-    k = spec.k
-    m = spec.m
-    per_round = policy.kind == "per-round"
     log = TrialLog(
         algo=algo,
         horizon=horizon,
-        m=m,
+        k=spec.k,
+        m=spec.m,
         xi_seed=xi_seed,
         env_seed=env_seed,
         actions=np.empty(horizon, dtype=np.int32),
         rewards=np.empty(horizon),
-        costs=np.empty((m, horizon)),
+        costs=np.empty((spec.m, horizon)),
         epoch_of_round=np.empty(horizon, dtype=np.int32),
-        inst_regret=np.empty(horizon),
-        inst_violation=np.empty((m, horizon)),
         epochs=[],
-        per_round_strategy=per_round,
     )
-    log._k_hint = k
-    if per_round:
-        _run_per_round(log, policy, spec, oracle, env)
-    else:
-        _run_epochs(log, policy, spec, oracle, xi, env)
+    play = _play_per_round if isinstance(policy, Ucb1) else _play_epochs
+    _gather(log, spec, oracle, *play(log, policy, spec, oracle, xi, env))
     log.finalize()
-    if log.epoch_count > epoch_budget(k, horizon):
+    if log.epoch_count > epoch_budget(spec.k, horizon):
         raise RuntimeError("epoch budget exceeded")
     return log
 
 
-def _run_epochs(log, policy, spec, oracle, xi, env) -> None:
+def _gather(log, spec, oracle, keys: np.ndarray, strategies) -> None:
+    """Fill the per-round regret, violation and unsafe count of ``log``
+    from per-key tables: each row of ``strategies`` is evaluated once,
+    and ``keys`` names the row that each round played."""
+    log.keys = keys
+    log.strategies = np.array(strategies)
+    regret = np.array([instant_regret(spec, oracle, x) for x in strategies])
+    violation = np.stack([instant_violation(spec, x) for x in strategies], axis=1)
+    unsafe = np.array([not _safe(spec, x) for x in strategies])
+    log.inst_regret = regret[keys]
+    # take keeps C order, on which finalize's row sums depend bit for bit
+    log.inst_violation = violation.take(keys, axis=1)
+    log.unsafe_rounds = int(np.count_nonzero(unsafe[keys]))
+
+
+def _play_epochs(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, list]:
     """Epoch policies: the strategy is frozen between closes, so each
     epoch is resolved as a whole.  Its actions come from the per-round
-    labeled action uniforms (none for the deterministic policy), and
-    feedback is drawn only for the (round, arm) pairs actually played.
+    labeled action uniforms, and feedback is drawn only for the (round,
+    arm) pairs actually played.  The strategy key is the epoch index.
 
     The round words are mixed once per trial and serve both the action
     uniforms and the feedback, whose label-prefix states are tabulated
@@ -280,32 +294,24 @@ def _run_epochs(log, policy, spec, oracle, xi, env) -> None:
     """
     horizon = log.horizon
     rnd_words = field_words(np.arange(1, horizon + 1), "rnd")
-    action_u = (
-        None
-        if policy.kind == "deterministic"
-        else finish_uniforms(label_states(xi, "action"), rnd_words)
-    )
+    action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
     streams = FeedbackStreams(spec, env)
     lo = 0  # rounds lo+1..hi form the current epoch
     while True:
         rec = _epoch_record(policy, oracle, spec, lo + 1)
         log.epochs.append(rec)
-        x = validate_strategy(rec.x)
-        arms = _epoch_actions(policy, x, action_u, lo, horizon)
+        need = policy.targets - policy.state.counts
+        arms = _epoch_actions(validate_strategy(rec.x), need, action_u, lo, horizon)
         hi = lo + arms.size
         log.actions[lo:hi] = arms
         log.epoch_of_round[lo:hi] = rec.h
-        log.inst_regret[lo:hi] = instant_regret(spec, oracle, x)
-        log.inst_violation[:, lo:hi] = instant_violation(spec, x)[:, None]
         feedback = streams.draw(arms, rnd_words[lo:hi])
         log.rewards[lo:hi] = feedback[0]
         log.costs[:, lo:hi] = feedback[1:]
-        if not rec.safe:
-            log.unsafe_rounds += hi - lo
         policy.observe_epoch(arms, feedback)
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
-            return
+            return log.epoch_of_round, [e.x for e in log.epochs]
         policy.close_epoch()
         lo = hi
 
@@ -313,23 +319,25 @@ def _run_epochs(log, policy, spec, oracle, xi, env) -> None:
 _MIN_CHUNK = 256
 
 
-def _epoch_actions(policy, x, action_u, lo, horizon) -> np.ndarray:
+def _epoch_actions(x, need, action_u, lo, horizon) -> np.ndarray:
     """Arms pulled in the epoch that starts at round lo+1.
 
     The epoch lasts until the first round at which some arm's count
-    reaches its doubling target, or until the horizon.  Zero-mass arms
-    are never drawn, so the shortest remaining distance to a target over
-    the arms with positive mass bounds the epoch from below; the
-    uniforms are mapped in chunks that start there and double until a
-    target is hit.
+    reaches its doubling target (``need`` more pulls), or until the
+    horizon.  A strategy with one positive-mass arm plays that arm
+    whatever the uniform, so its epoch is known in closed form.
+    Otherwise zero-mass arms are never drawn, so the shortest remaining
+    distance to a target over the arms with positive mass bounds the
+    epoch from below; the uniforms are mapped in chunks that start
+    there and double until a target is hit.
     """
-    need = policy.targets - policy.state.counts
     left = horizon - lo
-    if action_u is None:
-        arm = policy.current_arm
+    support = np.flatnonzero(x)
+    if support.size == 1:
+        arm = support[0]
         return np.full(min(int(need[arm]), left), arm, dtype=np.int32)
     cdf = np.cumsum(x)
-    n = min(max(int(need[x > 0].min()), _MIN_CHUNK), left)
+    n = min(max(int(need[support].min()), _MIN_CHUNK), left)
     while True:
         arms = index_from_cdf(cdf, action_u[lo : lo + n])
         hit = _first_target_hit(arms, need)
@@ -352,46 +360,22 @@ def _first_target_hit(arms: np.ndarray, need: np.ndarray) -> int:
     return int(order[nth[reached]].min())
 
 
-def _run_per_round(log, policy, spec, oracle, env) -> None:
-    """Baseline path: strategy is the one-hot of the per-round pick."""
-    m = spec.m
+def _play_per_round(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round baseline: each pick depends on the rewards seen so far.
+    Its strategy is the one-hot of the pick, so the key is the arm."""
     horizon = log.horizon
-    rewards_tab, costs_tab = feedback_tables(spec, env, horizon)
-    reward_rows = rewards_tab.tolist()
-    cost_rows = [costs_tab[i].tolist() for i in range(m)]
-    regret_of_arm = [
-        instant_regret(spec, oracle, _onehot(spec.k, a)) for a in range(spec.k)
-    ]
-    viol_of_arm = [instant_violation(spec, _onehot(spec.k, a)) for a in range(spec.k)]
-    eye = np.eye(spec.k)
-    unsafe_arm = [
-        bool(np.any(spec.cost_means @ eye[a] > spec.thresholds + SAFETY_TOL))
-        for a in range(spec.k)
-    ]
-    unsafe = 0
-    for t in range(1, horizon + 1):
+    rewards, costs = feedback_tables(spec, env, horizon)
+    picks = []
+    for t, row in enumerate(rewards.tolist(), start=1):
         a = policy.pick(t)
-        tm1 = t - 1
-        r = reward_rows[tm1][a]
-        c_row = [cost_rows[i][tm1][a] for i in range(m)]
-        policy.observe(a, r, c_row)
-        log.actions[tm1] = a
-        log.rewards[tm1] = r
-        for i in range(m):
-            log.costs[i, tm1] = c_row[i]
-        log.epoch_of_round[tm1] = tm1
-        log.inst_regret[tm1] = regret_of_arm[a]
-        for i in range(m):
-            log.inst_violation[i, tm1] = viol_of_arm[a][i]
-        if unsafe_arm[a]:
-            unsafe += 1
-    log.unsafe_rounds = unsafe
-
-
-def _onehot(k: int, a: int) -> np.ndarray:
-    x = np.zeros(k)
-    x[a] = 1.0
-    return x
+        policy.observe(a, row[a])
+        picks.append(a)
+    log.actions[:] = picks
+    rounds = np.arange(horizon)
+    log.rewards[:] = rewards[rounds, log.actions]
+    log.costs[:] = costs[:, rounds, log.actions]
+    log.epoch_of_round[:] = rounds
+    return log.actions, np.eye(spec.k)
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
@@ -538,17 +522,16 @@ def _strategy_cell(x: np.ndarray) -> str:
 def _rounds_rows(trial_idx: int, log: TrialLog) -> str:
     """The rounds.csv rows of one trial.
 
-    The strategy, regret and violation cells are constant within an
-    epoch (for the per-round baseline, for each arm), so each is
-    formatted once, from the first round it applies to.
+    The strategy, regret and violation cells depend on the round only
+    through its strategy key, so each is formatted once per key, from
+    the first round it applies to.
     """
-    keys = log.actions if log.per_round_strategy else log.epoch_of_round
+    keys = log.keys
     uniq, first = np.unique(keys, return_index=True)
-    strategies = log.strategy_matrix()
     x_cells = {}
     tails = {}
     for key, t0 in zip(uniq.tolist(), first.tolist()):
-        x_cells[key] = _strategy_cell(strategies[t0])
+        x_cells[key] = _strategy_cell(log.strategies[key])
         tail = [log.inst_regret[t0], *log.inst_violation[:, t0]]
         tails[key] = ",".join(map(_fmt, tail))
     signals = zip(log.rewards.tolist(), *log.costs.tolist())
@@ -597,8 +580,8 @@ def aggregate_and_export(
     if not logs:
         raise ValueError("need at least one trial log")
     first = logs[0]
-    config = (first.algo, first._k_hint, first.m, first.horizon)
-    if any((log.algo, log._k_hint, log.m, log.horizon) != config for log in logs):
+    config = (first.algo, first.k, first.m, first.horizon)
+    if any((log.algo, log.k, log.m, log.horizon) != config for log in logs):
         raise ValueError(
             "trial logs must share one algorithm, arm count, constraint count and horizon"
         )

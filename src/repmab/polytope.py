@@ -251,7 +251,7 @@ def _snap_dust(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(lp: SimplexPolytopeLP, canonical: bool = True):
+def solve(lp: SimplexPolytopeLP):
     """Optimal (strategy, value) for ``lp``; raises Infeasible on an
     empty region.
 
@@ -269,7 +269,7 @@ def solve(lp: SimplexPolytopeLP, canonical: bool = True):
         x[best] = 1.0
         return x, float(obj[best])
     x, _, value, alternates = _solve_ext(obj, mat, bnd)
-    if canonical and alternates:
+    if alternates:
         x = _lex_refine(obj, mat, bnd, value)
     return _snap_dust(x), value
 

@@ -219,3 +219,28 @@ def test_replicability_pairs_csv_bytes_pinned(tmp_path, algo, digest):
         b"0,15984297838864645472,632414710531971012,1405432786595911805,"
     )
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["run", "replicability"])
+@pytest.mark.parametrize("nested", [False, True])
+def test_out_naming_a_file_exits_one_before_any_trial(tmp_path, monkeypatch, capsys, command, nested):
+    from repmab import cli
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, "run_batch", no_trials)
+    monkeypatch.setattr(cli, "run_replicability_experiment", no_trials)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if nested else taken
+    argv = [
+        command,
+        "--instance", str(INSTANCE_DIR / "reference_unconstrained.json"),
+        "--algo", "debora",
+        "--out", str(out),
+    ]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --out ")
+    assert taken.read_text() == "not a directory\n"
+

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repmab.estimator import (
@@ -212,3 +212,43 @@ def test_replicability_and_accuracy_small_scale():
             accuracy_failures += 1
     assert mismatches / reps <= rho_p + 3.0 * math.sqrt(rho_p * (1 - rho_p) / reps)
     assert accuracy_failures / reps <= delta_p + 3.0 * math.sqrt(delta_p * (1 - delta_p) / reps)
+
+
+@st.composite
+def running_cells(draw):
+    """(cell, offset) as a policy close builds them: the cell is the
+    confidence width of a count large enough that it falls below 1, and
+    the offset a fraction of that cell."""
+    rho_prime = draw(st.floats(1e-3, 0.9))
+    delta_prime = draw(st.floats(0.001, 0.45)) * rho_prime
+    # the count at which the width reaches 1, times a growth factor
+    unit_count = 2.0 * math.log(2.0 / delta_prime) / (rho_prime - 2.0 * delta_prime) ** 2
+    n = math.ceil(unit_count * draw(st.floats(1.0001, 1e4)))
+    cell = float(confidence_widths(n, delta_prime, rho_prime))
+    assert cell < 1.0
+    return cell, draw(st.floats(0.0, 1.0)) * cell
+
+
+@given(grid=running_cells(), mean=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_snap_within_half_cell_at_running_widths(grid, mean):
+    cell, offset = grid
+    assume(mean >= offset)
+    est = snap_to_grid(mean, cell, offset)
+    assert est <= 1.0
+    assert abs(est - mean) <= cell / 2.0 + 1e-12
+
+
+@given(
+    grid=running_cells(),
+    position=st.floats(0.0, 1.0),
+    fracs=st.tuples(st.floats(0.001, 0.999), st.floats(0.001, 0.999)),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_snap_same_cell_same_output_at_running_widths(grid, position, fracs):
+    cell, offset = grid
+    z = math.floor(position * (1.0 - offset) / cell)
+    means = [offset + (z + f) * cell for f in fracs]
+    assume(max(means) <= 1.0)
+    outs = snap_to_grid(np.array(means), cell, offset)
+    assert outs[0] == outs[1] == snap_to_grid(means[0], cell, offset)

@@ -65,6 +65,8 @@ TRIAL_DIGESTS = {
 
 EXPORT_DIGEST = "02c15d4fcaace0b42e01cd8f39f8282293b1f9e99f2f1598e9896baca17fcd95"
 
+OFFSET_DIGEST = "9079d9d4809df6e88b1a2c81ea83d8c20622163734dd7a6450052bda5a7db0f4"
+
 
 class _Digest:
     """SHA-256 over length-prefixed parts."""
@@ -119,6 +121,34 @@ def test_trial_digest(instance, algo):
         )
         trial_digest(digest, log)
     assert digest.hexdigest() == TRIAL_DIGESTS[(instance, algo)]
+
+
+def test_offset_digest():
+    """One arm with rho near 1 and a long horizon: the last widths fall
+    below 1, so the estimates leave their cap and the digest of every
+    epoch's estimates depends on the grid offsets."""
+    spec = instance_from_dict(
+        {
+            "K": 1,
+            "m": 0,
+            "reward_means": [0.37],
+            "cost_means": [],
+            "thresholds": [],
+            "horizon": 100_000,
+        }
+    )
+    digest = _Digest()
+    below_cap = 0
+    for xi_seed, env_seed in SEEDS:
+        log = run_trial(spec, "debora", xi_seed, env_seed, delta=0.01, rho=0.9)
+        trial_digest(digest, log)
+        for rec in log.epochs:
+            digest.array(rec.r_hat, "<f8")
+            digest.array(rec.g_hat, "<f8")
+            digest.array(rec.zeta, "<f8")
+        below_cap += int((log.epochs[-1].r_hat < 1.0).sum())
+    assert below_cap == len(SEEDS)
+    assert digest.hexdigest() == OFFSET_DIGEST
 
 
 def test_export_digest(tmp_path, capsys):
@@ -223,7 +253,7 @@ def test_trial_invariants_on_random_instances(spec, seeds):
             assert log.epoch_of_round[rec.t_start - 1] == rec.h
             played = log.epoch_of_round == rec.h
             assert np.all(rec.x[log.actions[played]] > 0.0)
-            # one-hot for debora, whose actions draw no uniforms
+            # a one-hot strategy maps every uniform to its arm
             expected = index_from_cdf(np.cumsum(rec.x), uniforms[played])
             assert np.array_equal(log.actions[played], expected)
         if algo == "debora-h" and spec.m:
