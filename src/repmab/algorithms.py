@@ -48,6 +48,7 @@ __all__ = [
     "EpochState",
     "Ucb1",
     "ceil_log2",
+    "check_delta_rho",
     "epoch_budget",
     "make_policy",
     "mixing_coefficient",
@@ -73,10 +74,11 @@ def epoch_budget(k: int, horizon: int) -> int:
     return k * ceil_log2(horizon)
 
 
-def _split(delta: float, rho: float, denominator: int) -> tuple[float, float]:
+def check_delta_rho(delta: float, rho: float) -> None:
+    """Reject a failure probability and replicability target outside
+    0 < 2*delta < rho < 1 (NaN included), whatever the algorithm."""
     if not (0.0 < 2.0 * delta < rho < 1.0):
         raise ConfigError(f"need 0 < 2*delta < rho < 1, got delta={delta}, rho={rho}")
-    return delta / denominator, rho / denominator
 
 
 @dataclass
@@ -93,7 +95,6 @@ class EpochState:
     delta_prime: float
     rho_prime: float
     sigma: float = 0.0
-    x_tilde: np.ndarray | None = None
 
 
 def optimistic_strategy(
@@ -159,7 +160,7 @@ class _EpochDoublingPolicy:
         denominator: int,
         track_costs: bool,
     ):
-        dp, rp = _split(delta, rho, denominator)
+        dp, rp = delta / denominator, rho / denominator
         k = spec.k
         m = spec.m if track_costs else 0
         zeros = np.zeros(k, dtype=np.int64)
@@ -328,7 +329,6 @@ class DeboraH(DeboraS):
         self.last_fallback = fallback
         if self.m == 0:
             st.sigma = 0.0
-            st.x_tilde = x_tilde
             st.x_current = x_tilde
             return
         optimistic_costs = (st.g_hat + st.zeta[None, :]) @ x_tilde
@@ -336,7 +336,6 @@ class DeboraH(DeboraS):
         if sigma > self.sigma_cap:
             raise RuntimeError(f"mixing coefficient {sigma} exceeded 1/(1+margin)")
         st.sigma = sigma
-        st.x_tilde = x_tilde
         st.x_current = sigma * self.oracle.x_diamond + (1.0 - sigma) * x_tilde
 
 
@@ -400,4 +399,5 @@ def make_policy(
         raise ConfigError(
             f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHM_NAMES)}"
         ) from None
+    check_delta_rho(delta, rho)
     return cls(spec, horizon, delta, rho, xi, oracle)

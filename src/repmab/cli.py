@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .algorithms import ALGORITHM_NAMES, ConfigError
+from .algorithms import ALGORITHM_NAMES, ConfigError, check_delta_rho
 from .environment import ValidationError, load_instance
 from .harness import (
     aggregate_and_export,
@@ -140,6 +140,7 @@ def _trial_options(args, count_key: str, count_default: int):
         seed=_check_seed(_resolve(args, config, "seed", 0)),
         horizon=_check_count(_resolve(args, config, "horizon"), "horizon"),
     )
+    check_delta_rho(kwargs["delta"], kwargs["rho"])
     count = _check_count(_resolve(args, config, count_key, count_default), count_key)
     out = Path(_resolve(args, config, "out", required=True))
     try:

@@ -9,16 +9,21 @@ epoch at a time with array operations: the epoch's actions from the
 labeled per-round action uniforms (in closed form when the strategy
 has one positive-mass arm, whichever policy chose it), its end from
 the first doubling target hit, and feedback only for the (round, arm)
-pairs played.  Everything epoch-shaped (estimate refreshes, oracle
-monitors) happens once per epoch, and the label work that every epoch
-would repeat (round words, feedback label prefixes) is tabulated once
-per trial.  Only the per-round UCB1 baseline loops over rounds in
-Python, and only to pick and observe.
+pairs played.  Estimates are refreshed once per epoch, and the label
+work that every epoch would repeat (round words, feedback label
+prefixes) is tabulated once per trial.  Only the per-round UCB1
+baseline loops over rounds in Python, and only to pick and observe.
+
+The epoch policies write one row per epoch into a struct-of-arrays
+epoch table preallocated to the epoch budget: start round, strategy,
+widths, estimates, sigma, fallback, and the clean and x*-containment
+flags, judged against the instance column-wise once the trial ends.
 
 Every trial ends in one gather: play yields a strategy key per round
 (the epoch index, or the arm for UCB1, whose strategy is the one-hot
-of its pick) and a table of strategies per key; expected regret,
-violation and safety are evaluated once per key and gathered to rounds.
+of its pick) and a table of strategies per key (the epoch table's
+``x`` column).  Expected regret, violation and safety are evaluated and
+kept once per key; per-round arrays are expanded from them on demand.
 
 Exports format each cell that depends on the round only through its
 key once, and write each trial's rows with one join.
@@ -56,7 +61,6 @@ from .randomness import (
 from .randomness import first_uniforms  # noqa: F401  (perfbench/tracer.py wraps it by name)
 
 __all__ = [
-    "EpochRecord",
     "ReplicabilityReport",
     "TrialLog",
     "aggregate_and_export",
@@ -69,32 +73,39 @@ __all__ = [
 SAFETY_TOL = environment.SAFETY_TOL
 
 
-@dataclass
-class EpochRecord:
-    """State snapshot taken when an epoch begins."""
+def _epoch_table(rows: int, k: int, m: int) -> np.recarray:
+    """An empty epoch table: one row per epoch, the state at its start.
 
-    h: int
-    t_start: int
-    x: np.ndarray
-    zeta: np.ndarray
-    r_hat: np.ndarray
-    g_hat: np.ndarray
-    sigma: float
-    x_tilde: np.ndarray | None
-    fallback: bool
-    clean: bool
-    contains_x_star: bool
-    safe: bool
+    ``g_hat`` has one row per tracked constraint (none for ``debora``);
+    ``clean`` and ``contains_x_star`` are judged against the instance
+    once the trial ends.
+    """
+    dtype = [
+        ("h", np.int64),
+        ("t_start", np.int64),
+        ("x", np.float64, (k,)),
+        ("zeta", np.float64, (k,)),
+        ("r_hat", np.float64, (k,)),
+        ("g_hat", np.float64, (m, k)),
+        ("sigma", np.float64),
+        ("fallback", np.bool_),
+        ("clean", np.bool_),
+        ("contains_x_star", np.bool_),
+    ]
+    return np.zeros(rows, dtype).view(np.recarray)
 
 
 @dataclass
 class TrialLog:
     """Complete record of one trial.
 
-    Per-round arrays are parallel over t = 1..T.  Round t played the
+    Per-round arrays are parallel over t = 1..T.  ``epochs`` is the epoch
+    table (empty for the per-round baseline).  Round t played the
     strategy ``strategies[keys[t-1]]``: the key is the epoch index for
-    the epoch policies and the arm for the per-round baseline, whose
-    strategy is the one-hot of its pick.
+    the epoch policies, whose strategies are the table's ``x`` column,
+    and the arm for the per-round baseline, whose strategy is the
+    one-hot of its pick.  Expected regret, violation and safety are kept
+    per key and expanded to rounds on demand.
     """
 
     algo: str
@@ -107,11 +118,12 @@ class TrialLog:
     rewards: np.ndarray
     costs: np.ndarray
     epoch_of_round: np.ndarray
-    epochs: list[EpochRecord]
+    epochs: np.recarray | None = None
     keys: np.ndarray | None = None
     strategies: np.ndarray | None = None
-    inst_regret: np.ndarray | None = None
-    inst_violation: np.ndarray | None = None
+    regret: np.ndarray | None = None
+    violation: np.ndarray | None = None
+    unsafe: np.ndarray | None = None
     regret_total: float = 0.0
     violation_total: float = 0.0
     epoch_count: int = 0
@@ -121,6 +133,17 @@ class TrialLog:
     clean_all: bool = True
     containment_ok: bool = True
 
+    @property
+    def inst_regret(self) -> np.ndarray:
+        """Expected regret of each round, (T,)."""
+        return self.per_round(self.regret)
+
+    @property
+    def inst_violation(self) -> np.ndarray:
+        """Clamped expected excess of each round, (m, T)."""
+        # take keeps C order, on which finalize's row sums depend bit for bit
+        return self.violation.take(self.keys, axis=1)
+
     def finalize(self) -> None:
         self.regret_total = float(np.sum(self.inst_regret))
         if self.m:
@@ -129,10 +152,12 @@ class TrialLog:
             self.violation_total = float(np.max(np.sum(self.inst_violation, axis=1)))
         else:
             self.violation_total = 0.0
-        self.epoch_count = self.epochs[-1].h if self.epochs else 0
-        self.fallback_count = sum(1 for e in self.epochs if e.fallback)
-        self.clean_all = all(e.clean for e in self.epochs)
-        self.containment_ok = all(e.contains_x_star for e in self.epochs)
+        epochs = self.epochs
+        self.epoch_count = int(epochs.h[-1]) if len(epochs) else 0
+        self.fallback_count = int(np.count_nonzero(epochs.fallback))
+        self.clean_all = bool(epochs.clean.all())
+        self.containment_ok = bool(epochs.contains_x_star.all())
+        self.unsafe_rounds = int(np.count_nonzero(self.per_round(self.unsafe)))
         self.any_unsafe = self.unsafe_rounds > 0
 
     def per_round(self, table) -> np.ndarray:
@@ -147,7 +172,7 @@ class TrialLog:
         """Per-round clean-event flag (True while estimates stay inside
         their widths); the per-round baseline keeps no estimates."""
         clean = np.ones(len(self.strategies), dtype=bool)
-        clean[: len(self.epochs)] = [e.clean for e in self.epochs]
+        clean[: len(self.epochs)] = self.epochs.clean
         return self.per_round(clean)
 
     def same_strategy_sequence(self, other: "TrialLog") -> bool:
@@ -158,69 +183,19 @@ class TrialLog:
 
     def equals(self, other: "TrialLog") -> bool:
         """Bit-exact equality of everything recorded (replay checks)."""
-        if (
-            self.algo != other.algo
-            or self.horizon != other.horizon
-            or self.m != other.m
-            or len(self.epochs) != len(other.epochs)
-        ):
+        config = (self.algo, self.horizon, self.k, self.m)
+        if config != (other.algo, other.horizon, other.k, other.m):
             return False
         arrays = (
             (self.actions, other.actions),
             (self.rewards, other.rewards),
             (self.costs, other.costs),
             (self.epoch_of_round, other.epoch_of_round),
-            (self.inst_regret, other.inst_regret),
-            (self.inst_violation, other.inst_violation),
+            (self.regret, other.regret),
+            (self.violation, other.violation),
+            (self.epochs, other.epochs),
         )
-        if not all(np.array_equal(a, b) for a, b in arrays):
-            return False
-        for mine, theirs in zip(self.epochs, other.epochs):
-            if mine.h != theirs.h or mine.t_start != theirs.t_start:
-                return False
-            if not np.array_equal(mine.x, theirs.x):
-                return False
-            if mine.sigma != theirs.sigma:
-                return False
-        return True
-
-
-def _safe(spec, x: np.ndarray) -> bool:
-    """Whether strategy x meets every constraint in expectation."""
-    return bool((spec.cost_means @ x <= spec.thresholds + SAFETY_TOL).all())
-
-
-def _epoch_record(policy, oracle, spec, t_start: int) -> EpochRecord:
-    st = policy.state
-    h = st.h
-    clean = True
-    if h >= 1:
-        played = st.epoch_start_counts >= 1
-        if played.any():
-            r_err = np.abs(st.r_hat - spec.reward_means) > st.zeta
-            clean = not r_err[played].any()
-            if clean and policy.m:
-                g_err = np.abs(st.g_hat - spec.cost_means) > st.zeta
-                clean = not g_err[:, played].any()
-    if policy.m:
-        lower = st.g_hat - st.zeta
-        contains = bool((lower @ oracle.x_star <= spec.thresholds + SAFETY_TOL).all())
-    else:
-        contains = True
-    return EpochRecord(
-        h=h,
-        t_start=t_start,
-        x=st.x_current.copy(),
-        zeta=st.zeta.copy(),
-        r_hat=st.r_hat.copy(),
-        g_hat=st.g_hat.copy(),
-        sigma=st.sigma,
-        x_tilde=None if st.x_tilde is None else st.x_tilde.copy(),
-        fallback=policy.last_fallback,
-        clean=clean,
-        contains_x_star=contains,
-        safe=_safe(spec, st.x_current),
-    )
+        return all(np.array_equal(a, b) for a, b in arrays)
 
 
 def run_trial(
@@ -256,7 +231,6 @@ def run_trial(
         rewards=np.empty(horizon),
         costs=np.empty((spec.m, horizon)),
         epoch_of_round=np.empty(horizon, dtype=np.int32),
-        epochs=[],
     )
     play = _play_per_round if isinstance(policy, Ucb1) else _play_epochs
     _gather(log, spec, oracle, *play(log, policy, spec, oracle, xi, env))
@@ -266,26 +240,42 @@ def run_trial(
     return log
 
 
-def _gather(log, spec, oracle, keys: np.ndarray, strategies) -> None:
-    """Fill the per-round regret, violation and unsafe count of ``log``
-    from per-key tables: each row of ``strategies`` is evaluated once,
-    and ``keys`` names the row that each round played."""
+def _gather(log, spec, oracle, keys: np.ndarray, strategies: np.ndarray) -> None:
+    """Fill the per-key regret, violation and unsafe tables of ``log``
+    (each row of ``strategies`` is evaluated once; ``keys`` names the
+    row that each round played) and judge its epoch table."""
     log.keys = keys
-    log.strategies = np.array(strategies)
-    regret = np.array([instant_regret(spec, oracle, x) for x in strategies])
-    violation = np.stack([instant_violation(spec, x) for x in strategies], axis=1)
-    unsafe = np.array([not _safe(spec, x) for x in strategies])
-    log.inst_regret = regret[keys]
-    # take keeps C order, on which finalize's row sums depend bit for bit
-    log.inst_violation = violation.take(keys, axis=1)
-    log.unsafe_rounds = int(np.count_nonzero(unsafe[keys]))
+    log.strategies = strategies
+    log.regret = np.array([instant_regret(spec, oracle, x) for x in strategies])
+    log.violation = np.stack([instant_violation(spec, x) for x in strategies], axis=1)
+    tol = spec.thresholds + SAFETY_TOL
+    log.unsafe = np.array([not (spec.cost_means @ x <= tol).all() for x in strategies])
+    _judge_epochs(log.epochs, spec, oracle)
 
 
-def _play_epochs(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, list]:
+def _judge_epochs(epochs: np.recarray, spec, oracle) -> None:
+    """Fill the ``clean`` and ``contains_x_star`` columns.
+
+    An epoch is clean while every estimate of a played arm lies within
+    its width of the true mean.  Unplayed arms need no mask: they keep
+    the prior 0.5, and the zero-count width exceeds 1.  The optimistic
+    safe set contains x* when x* meets every pessimistic constraint.
+    """
+    m = epochs.g_hat.shape[1]  # constraints the policy tracks
+    zeta = epochs.zeta[:, None, :]
+    r_err = np.abs(epochs.r_hat - spec.reward_means) > epochs.zeta
+    g_err = np.abs(epochs.g_hat - spec.cost_means[:m]) > zeta
+    epochs.clean = ~(r_err.any(axis=1) | g_err.any(axis=(1, 2)))
+    pessimistic = (epochs.g_hat - zeta) @ oracle.x_star
+    epochs.contains_x_star = (pessimistic <= spec.thresholds[:m] + SAFETY_TOL).all(axis=1)
+
+
+def _play_epochs(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, np.ndarray]:
     """Epoch policies: the strategy is frozen between closes, so each
     epoch is resolved as a whole.  Its actions come from the per-round
     labeled action uniforms, and feedback is drawn only for the (round,
-    arm) pairs actually played.  The strategy key is the epoch index.
+    arm) pairs actually played.  The strategy key is the epoch index,
+    which is also the epoch's row in the epoch table.
 
     The round words are mixed once per trial and serve both the action
     uniforms and the feedback, whose label-prefix states are tabulated
@@ -296,22 +286,28 @@ def _play_epochs(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, list]:
     rnd_words = field_words(np.arange(1, horizon + 1), "rnd")
     action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
     streams = FeedbackStreams(spec, env)
+    table = _epoch_table(epoch_budget(spec.k, horizon) + 1, spec.k, policy.m)
+    st = policy.state
     lo = 0  # rounds lo+1..hi form the current epoch
     while True:
-        rec = _epoch_record(policy, oracle, spec, lo + 1)
-        log.epochs.append(rec)
-        need = policy.targets - policy.state.counts
-        arms = _epoch_actions(validate_strategy(rec.x), need, action_u, lo, horizon)
+        x = validate_strategy(st.x_current)
+        table[st.h] = (
+            st.h, lo + 1, x, st.zeta, st.r_hat, st.g_hat, st.sigma,
+            policy.last_fallback, True, True,
+        )
+        need = policy.targets - st.counts
+        arms = _epoch_actions(x, need, action_u, lo, horizon)
         hi = lo + arms.size
         log.actions[lo:hi] = arms
-        log.epoch_of_round[lo:hi] = rec.h
+        log.epoch_of_round[lo:hi] = st.h
         feedback = streams.draw(arms, rnd_words[lo:hi])
         log.rewards[lo:hi] = feedback[0]
         log.costs[:, lo:hi] = feedback[1:]
         policy.observe_epoch(arms, feedback)
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
-            return log.epoch_of_round, [e.x for e in log.epochs]
+            log.epochs = table[: st.h + 1].copy()
+            return log.epoch_of_round, log.epochs.x
         policy.close_epoch()
         lo = hi
 
@@ -375,6 +371,7 @@ def _play_per_round(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, np.
     log.rewards[:] = rewards[rounds, log.actions]
     log.costs[:] = costs[:, rounds, log.actions]
     log.epoch_of_round[:] = rounds
+    log.epochs = _epoch_table(0, spec.k, spec.m)
     return log.actions, np.eye(spec.k)
 
 
@@ -511,29 +508,17 @@ def run_replicability_experiment(
 # -- export ------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _strategy_cell(x: np.ndarray) -> str:
-    return ";".join(_fmt(v) for v in x)
-
-
 def _rounds_rows(trial_idx: int, log: TrialLog) -> str:
     """The rounds.csv rows of one trial.
 
     The strategy, regret and violation cells depend on the round only
-    through its strategy key, so each is formatted once per key, from
-    the first round it applies to.
+    through its strategy key, so each is formatted once per key.
     """
-    keys = log.keys
-    uniq, first = np.unique(keys, return_index=True)
-    x_cells = {}
-    tails = {}
-    for key, t0 in zip(uniq.tolist(), first.tolist()):
-        x_cells[key] = _strategy_cell(log.strategies[key])
-        tail = [log.inst_regret[t0], *log.inst_violation[:, t0]]
-        tails[key] = ",".join(map(_fmt, tail))
+    x_cells = [";".join(map(repr, x)) for x in log.strategies.tolist()]
+    tails = [
+        ",".join(map(repr, tail))
+        for tail in zip(log.regret.tolist(), *log.violation.tolist())
+    ]
     signals = zip(log.rewards.tolist(), *log.costs.tolist())
     return "".join(
         f"{trial_idx},{t},{epoch},{action},{x_cells[key]},"
@@ -542,7 +527,7 @@ def _rounds_rows(trial_idx: int, log: TrialLog) -> str:
             range(1, log.horizon + 1),
             log.epoch_of_round.tolist(),
             log.actions.tolist(),
-            keys.tolist(),
+            log.keys.tolist(),
             signals,
         )
     )

@@ -244,3 +244,24 @@ def test_out_naming_a_file_exits_one_before_any_trial(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err.startswith("error: --out ")
     assert taken.read_text() == "not a directory\n"
 
+
+@pytest.mark.parametrize("command", ["run", "replicability"])
+@pytest.mark.parametrize("bad", [("--rho", "5"), ("--delta", "-3", "--rho", "nan")])
+def test_bad_delta_rho_exits_one_for_every_algorithm(tmp_path, capsys, command, bad):
+    """ucb1 ignores delta and rho, but 0 < 2*delta < rho < 1 holds for
+    every algorithm: a bad pair is a usage error, not a runtime failure
+    or a silent success, and it is caught before --out is created."""
+    from repmab import cli
+
+    argv = [
+        command,
+        "--instance", str(INSTANCE_DIR / "reference_soft.json"),
+        "--algo", "ucb1",
+        "--horizon", "50",
+        "--trials" if command == "run" else "--pairs", "2",
+        *bad,
+        "--out", str(tmp_path / "x"),
+    ]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: need 0 < 2*delta < rho < 1")
+    assert not (tmp_path / "x").exists()

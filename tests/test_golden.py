@@ -3,8 +3,9 @@
 The digests below pin every recorded output of a trial (actions,
 realized feedback, epoch spans, epoch strategies and sigma, totals and
 counters) for every shipped instance and algorithm, plus the bytes of
-one ``repmab run`` export.  A change that moves any output byte fails
-here; re-record only in a change whose purpose is to change outputs.
+one ``repmab run`` export per algorithm.  A change that moves any
+output byte fails here; re-record only in a change whose purpose is to
+change outputs.
 
 The properties check the structural invariants on random valid
 instances rather than only on the shipped ones.
@@ -20,7 +21,14 @@ from hypothesis import strategies as st
 
 from repmab.algorithms import ConfigError, epoch_budget
 from repmab.cli import main as cli_main
-from repmab.environment import instance_from_dict, load_instance, solve_oracle
+from repmab.environment import (
+    SAFETY_TOL,
+    instance_from_dict,
+    instant_regret,
+    instant_violation,
+    load_instance,
+    solve_oracle,
+)
 from repmab.harness import run_trial
 from repmab.randomness import RandomSource, first_uniforms, index_from_cdf, validate_strategy
 
@@ -65,6 +73,15 @@ TRIAL_DIGESTS = {
 
 EXPORT_DIGEST = "02c15d4fcaace0b42e01cd8f39f8282293b1f9e99f2f1598e9896baca17fcd95"
 
+# rounds.csv, regret_curve.csv and summary.json of one ``repmab run`` per
+# algorithm: the epoch policies and ucb1, whose strategy keys are arms
+EXPORT_DIGESTS = {
+    "debora": "719217765bcc115d5d2897c1637202f693cd4c70c305697a3f4fed521d6eea53",
+    "debora-s": "9336099dce28e2df12227abcc08d7442157cbb65c7d99c6d92816c939b893428",
+    "debora-h": EXPORT_DIGEST,
+    "ucb1": "a0c45d07c7f984033e92105c4c83f6854b66b3898b4410c71de8d1596ae68a6b",
+}
+
 OFFSET_DIGEST = "9079d9d4809df6e88b1a2c81ea83d8c20622163734dd7a6450052bda5a7db0f4"
 
 
@@ -97,7 +114,7 @@ def trial_digest(digest: _Digest, log) -> None:
     digest.array(log.inst_violation, "<f8")
     digest.value(len(log.epochs))
     for rec in log.epochs:
-        digest.value((rec.h, rec.t_start, float(rec.sigma), bool(rec.fallback)))
+        digest.value((int(rec.h), int(rec.t_start), float(rec.sigma), bool(rec.fallback)))
         digest.array(rec.x, "<f8")
     digest.value(
         (
@@ -151,11 +168,12 @@ def test_offset_digest():
     assert digest.hexdigest() == OFFSET_DIGEST
 
 
-def test_export_digest(tmp_path, capsys):
+@pytest.mark.parametrize("algo", sorted(EXPORT_DIGESTS))
+def test_export_digest(tmp_path, capsys, algo):
     out = tmp_path / "out"
     argv = [
         "run", "--instance", str(INSTANCE_DIR / "reference_soft.json"),
-        "--algo", "debora-h", "--horizon", "3000", "--trials", "2",
+        "--algo", algo, "--horizon", "3000", "--trials", "2",
         "--seed", "7", "--out", str(out),
     ]
     assert cli_main(argv) == 0
@@ -163,7 +181,7 @@ def test_export_digest(tmp_path, capsys):
     for path in sorted(out.iterdir()):
         digest.add(path.name.encode())
         digest.add(path.read_bytes())
-    assert digest.hexdigest() == EXPORT_DIGEST
+    assert digest.hexdigest() == EXPORT_DIGESTS[algo]
 
 
 # -- randomized invariants ------------------------------------------------
@@ -239,6 +257,16 @@ def test_trial_invariants_on_random_instances(spec, seeds):
             assert algo == "debora-h" and not oracle.lambda_min > 0.0
             continue
         assert log.equals(run_trial(spec, algo, *seeds, **kwargs))
+        # the per-key tables expand to each round's own evaluation
+        strategies = log.strategy_matrix()
+        assert (
+            np.array_equal(log.inst_regret, [instant_regret(spec, oracle, x) for x in strategies])
+            and np.array_equal(
+                log.inst_violation, np.stack([instant_violation(spec, x) for x in strategies], 1)
+            )
+            and log.unsafe_rounds
+            == sum(not (spec.cost_means @ x <= spec.thresholds + SAFETY_TOL).all() for x in strategies)
+        )
         assert log.actions.shape == (spec.horizon,)
         assert np.all((log.actions >= 0) & (log.actions < spec.k))
         if algo == "ucb1":

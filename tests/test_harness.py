@@ -20,6 +20,20 @@ def test_replay_invariance_bit_identical(reference_soft):
         assert a.equals(b), algo
 
 
+@pytest.mark.parametrize("field", ["r_hat", "zeta", "clean"])
+def test_equals_sees_every_epoch_column(reference_soft, field):
+    kwargs = dict(delta=0.05, rho=0.2, horizon=600)
+    a = run_trial(reference_soft, "debora-s", 5, 6, **kwargs)
+    b = run_trial(reference_soft, "debora-s", 5, 6, **kwargs)
+    assert a.equals(b)
+    rec = b.epochs[1]
+    if field == "clean":
+        rec.clean = not rec.clean
+    else:
+        getattr(rec, field)[0] += 0.25
+    assert not a.equals(b)
+
+
 def test_single_arm_zero_regret():
     spec = instance_from_dict(
         {
