@@ -57,6 +57,10 @@ __all__ = [
 
 ALGORITHM_NAMES = ("debora", "debora-s", "debora-h", "ucb1")
 
+# epochs whose grid offsets are hashed in one pass: about 100 KB at
+# K=50, m=3, where a table over the whole epoch budget would be MBs
+OFFSET_BLOCK = 64
+
 
 class ConfigError(ValueError):
     """Algorithm and instance/parameters are incompatible."""
@@ -187,6 +191,8 @@ class _EpochDoublingPolicy:
         self.arm_words = field_words(np.arange(k), "arm")
         cons = [None, *range(m)]
         self.cons_words = np.array([field_words(c, "cons") for c in cons])[:, None]
+        self._offsets_base = -1  # first epoch of the block in _offsets
+        self._offsets = None
         self.last_fallback = False
         self._select()
 
@@ -236,12 +242,28 @@ class _EpochDoublingPolicy:
     def _offset_uniforms(self, arms: np.ndarray) -> np.ndarray:
         """First uniforms of this epoch's grid-offset labels, (m+1, n):
         ``offset-reward`` in row 0, ``offset-cost`` of constraint i in
-        row i+1, one column per arm, from one pass over the word tables."""
+        row i+1, one column per arm.
+
+        The offsets depend on the labels alone, never on the data, so
+        the first close in each block of ``OFFSET_BLOCK`` epochs hashes
+        the whole block for every arm in one pass; a close gathers its
+        epoch's row of that block.
+        """
         h = self.state.h
-        rows = [label_states(self.xi, "offset-reward", epoch=h, through="epoch")]
+        base = h - h % OFFSET_BLOCK
+        if base != self._offsets_base:
+            self._offsets = self._offset_block(base)
+            self._offsets_base = base
+        return self._offsets[h - base][:, arms]
+
+    def _offset_block(self, base: int) -> np.ndarray:
+        """Grid-offset uniforms of epochs base..base+OFFSET_BLOCK-1,
+        (OFFSET_BLOCK, m+1, K), from one pass over the word tables."""
+        epochs = np.arange(base, base + OFFSET_BLOCK)
+        rows = [label_states(self.xi, "offset-reward", epoch=epochs, through="epoch")]
         if self.m:
-            rows += [label_states(self.xi, "offset-cost", epoch=h, through="epoch")] * self.m
-        states = absorb_words(np.array(rows, dtype=np.uint64)[:, None], self.arm_words[arms])
+            rows += [label_states(self.xi, "offset-cost", epoch=epochs, through="epoch")] * self.m
+        states = absorb_words(np.stack(rows, axis=1)[:, :, None], self.arm_words)
         states = absorb_words(states, self.cons_words)
         return finish_uniforms(states, field_words(None, "rnd"))
 

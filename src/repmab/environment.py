@@ -173,15 +173,12 @@ def instance_from_dict(payload: dict, where: str = "instance") -> InstanceSpec:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
-    if spec.m > 0:
-        try:
-            polytope.solve(
-                SimplexPolytopeLP(np.zeros(spec.k), spec.cost_means, spec.thresholds)
-            )
-        except Infeasible:
-            raise ValidationError(
-                f"{where}: safe set is empty (no strategy satisfies all constraints)"
-            ) from None
+    try:
+        polytope.check_feasible(spec.cost_means, spec.thresholds)
+    except Infeasible:
+        raise ValidationError(
+            f"{where}: safe set is empty (no strategy satisfies all constraints)"
+        ) from None
     return spec
 
 

@@ -7,7 +7,8 @@ former while redrawing the latter.  The replicable policies freeze
 their strategy between epoch closes, so their trials are resolved an
 epoch at a time with array operations: the epoch's actions from the
 labeled per-round action uniforms (in closed form when the strategy
-has one positive-mass arm, whichever policy chose it), its end from
+has one positive-mass arm, whichever policy chose it; the uniforms are
+drawn only once some strategy has two), its end from
 the first doubling target hit, and feedback only for the (round, arm)
 pairs played.  Estimates are refreshed once per epoch, and the label
 work that every epoch would repeat (round words, feedback label
@@ -280,11 +281,14 @@ def _play_epochs(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, np.nda
     The round words are mixed once per trial and serve both the action
     uniforms and the feedback, whose label-prefix states are tabulated
     once per trial too; an epoch's feedback is then one gather plus two
-    mixes over (m+1, L).
+    mixes over (m+1, L).  A strategy with one positive-mass arm reads no
+    action uniform, so the T uniforms are drawn on first read, at the
+    first epoch whose strategy has two positive-mass arms: never in a
+    ``debora`` trial, nor in one whose strategies all stay one-hot.
     """
     horizon = log.horizon
     rnd_words = field_words(np.arange(1, horizon + 1), "rnd")
-    action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
+    action_u = None
     streams = FeedbackStreams(spec, env)
     table = _epoch_table(epoch_budget(spec.k, horizon) + 1, spec.k, policy.m)
     st = policy.state
@@ -296,6 +300,8 @@ def _play_epochs(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, np.nda
             policy.last_fallback, True, True,
         )
         need = policy.targets - st.counts
+        if action_u is None and np.count_nonzero(x) > 1:
+            action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
         arms = _epoch_actions(x, need, action_u, lo, horizon)
         hi = lo + arms.size
         log.actions[lo:hi] = arms
@@ -549,6 +555,15 @@ def write_pairs_csv(report: ReplicabilityReport, out_dir: str | Path) -> Path:
     return path
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty vector, the mean of its middle one or
+    two sorted values, without the ``numpy.ma`` import that
+    ``np.median`` costs on its first call in a process."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    return float(np.mean(ordered[mid - 1 + ordered.size % 2 : mid + 1]))
+
+
 def aggregate_and_export(
     logs: list[TrialLog],
     report: ReplicabilityReport | None,
@@ -597,15 +612,15 @@ def aggregate_and_export(
         "constraints": m,
         "regret": {
             "mean": float(np.mean(regrets)),
-            "median": float(np.median(regrets)),
+            "median": _median(regrets),
         },
         "violation": {
             "mean": float(np.mean(violations)),
-            "median": float(np.median(violations)),
+            "median": _median(violations),
         },
         "epochs": {
             "mean": float(np.mean(epoch_counts)),
-            "median": float(np.median(epoch_counts)),
+            "median": _median(epoch_counts),
             "max": int(np.max(epoch_counts)),
         },
         "safety_failure_rate": float(np.mean([log.any_unsafe for log in logs])),

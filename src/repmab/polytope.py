@@ -23,6 +23,7 @@ __all__ = [
     "Infeasible",
     "SimplexPolytopeLP",
     "brute_force_optimum",
+    "check_feasible",
     "least_violation_strategy",
     "solve",
 ]
@@ -251,6 +252,25 @@ def _snap_dust(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _whole_simplex(mat: np.ndarray, bnd: np.ndarray) -> bool:
+    """Whether every single-arm strategy, and so every strategy,
+    satisfies every row of mat @ x <= bnd."""
+    return mat.shape[0] == 0 or bool((mat.max(axis=1) <= bnd).all())
+
+
+def check_feasible(mat: np.ndarray, bnd: np.ndarray) -> None:
+    """Raise Infeasible unless some strategy satisfies mat @ x <= bnd.
+
+    Only phase 1 decides this, so no optimum is canonicalized: with a
+    zero objective every feasible vertex ties, and ``solve`` would
+    lex-refine through K more cold solves.
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    bnd = np.asarray(bnd, dtype=np.float64)
+    if not _whole_simplex(mat, bnd):
+        _solve_ext(np.zeros(mat.shape[1]), mat, bnd)
+
+
 def solve(lp: SimplexPolytopeLP):
     """Optimal (strategy, value) for ``lp``; raises Infeasible on an
     empty region.
@@ -263,7 +283,7 @@ def solve(lp: SimplexPolytopeLP):
     mat = lp.constraint_matrix
     bnd = lp.bounds
     k = obj.size
-    if mat.shape[0] == 0 or (mat.max(axis=1) <= bnd).all():
+    if _whole_simplex(mat, bnd):
         best = int(np.argmax(obj))
         x = np.zeros(k)
         x[best] = 1.0

@@ -236,7 +236,9 @@ def test_ucb1_replay_deterministic():
 def test_offset_uniforms_match_labeled_streams(reference_soft, algo):
     """A close's grid offsets are the first uniforms of the labels
     (offset-reward, h, a) and (offset-cost, h, a, i); estimates that snap
-    to their cap do not show them, so they are checked directly."""
+    to their cap do not show them, so they are checked directly.  The
+    epochs straddle the offset blocks' edges, and the last one returns to
+    a block left earlier, so a stale or misaligned block shows."""
     from repmab.algorithms import make_policy
     from repmab.environment import solve_oracle
     from repmab.randomness import RandomSource, StreamLabel
@@ -244,7 +246,7 @@ def test_offset_uniforms_match_labeled_streams(reference_soft, algo):
     xi = RandomSource(2**63 + 17)
     policy = make_policy(algo, reference_soft, 1000, 0.05, 0.2, xi, solve_oracle(reference_soft))
     arms = np.array([4, 0, 2])
-    for h in (1, 7, 2**40):
+    for h in (1, 63, 64, 65, 127, 128, 2**40, 64):
         policy.state.h = h
         grid = policy._offset_uniforms(arms)
         assert grid.shape == (policy.m + 1, arms.size)

@@ -265,3 +265,50 @@ def test_bad_delta_rho_exits_one_for_every_algorithm(tmp_path, capsys, command, 
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: need 0 < 2*delta < rho < 1")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("algo", ["debora-h", "ucb1"])
+def test_summary_medians_are_numpy_medians(tmp_path, algo):
+    """Three trials whose regret, violation or epoch counts differ: the
+    summary's medians are np.median of the trial logs."""
+    import numpy as np
+
+    from repmab import cli
+    from repmab.environment import load_instance
+    from repmab.harness import run_batch
+
+    instance = INSTANCE_DIR / "reference_soft.json"
+    argv = [
+        "run", "--instance", str(instance), "--algo", algo, "--horizon", "300",
+        "--trials", "3", "--seed", "11", "--delta", "0.05", "--rho", "0.2",
+        "--out", str(tmp_path),
+    ]
+    assert cli.main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    logs = run_batch(
+        load_instance(instance), algo, delta=0.05, rho=0.2, trials=3, seed=11, horizon=300
+    )
+    for key, field in [
+        ("regret", "regret_total"),
+        ("violation", "violation_total"),
+        ("epochs", "epoch_count"),
+    ]:
+        values = np.array([getattr(log, field) for log in logs])
+        assert summary[key]["median"] == float(np.median(values))
+
+
+def test_run_does_not_import_numpy_ma(tmp_path):
+    """np.median imports numpy.ma on its first call, about 10 ms of every
+    run; the export computes its medians without it."""
+    code = (
+        "import sys\n"
+        "from repmab import cli\n"
+        f"argv = ['run', '--instance', {str(INSTANCE_DIR / 'reference_soft.json')!r},"
+        f" '--algo', 'debora-h', '--horizon', '200', '--trials', '2',"
+        f" '--out', {str(tmp_path)!r}]\n"
+        "assert cli.main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

@@ -192,6 +192,39 @@ def test_from_dict_rejects_empty_safe_set():
         )
 
 
+def test_loading_a_many_arm_instance_runs_no_lex_refine(monkeypatch):
+    """The empty-safe-set check needs phase 1 only: with a zero objective
+    every feasible vertex ties, and lex refinement would add K solves."""
+    from repmab import polytope
+    from repmab.polytope import SimplexPolytopeLP
+
+    rng = np.random.default_rng(50)
+    k, m = 50, 3
+    costs = rng.uniform(0.05, 0.95, (m, k))
+    payload = {
+        "K": k,
+        "m": m,
+        "reward_means": rng.uniform(0.05, 0.95, k).tolist(),
+        "cost_means": costs.tolist(),
+        # the uniform strategy is strictly safe, the costliest arms are not
+        "thresholds": (costs.mean(axis=1) + 0.05).tolist(),
+        "horizon": 1000,
+    }
+    calls = []
+    lex_refine = polytope._lex_refine
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lex_refine(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "_lex_refine", counted)
+    spec = instance_from_dict(payload)
+    assert calls == []
+    # the zero-objective solve that the check replaces does lex-refine
+    polytope.solve(SimplexPolytopeLP(np.zeros(k), spec.cost_means, spec.thresholds))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("key, value", [("K", True), ("m", False), ("horizon", True)])
 def test_from_dict_rejects_json_booleans(key, value):
     payload = {

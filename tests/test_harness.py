@@ -82,6 +82,35 @@ def test_actions_consistent_with_labeled_uniforms(reference_soft):
         assert log.actions[t - 1] == index_from_cdf(cdf, uniforms[t - 1])
 
 
+@pytest.mark.parametrize(
+    "instance, algo, draws",
+    [
+        ("reference_unconstrained", "debora", 0),
+        ("reference_soft", "debora-s", 0),
+        ("reference_soft", "debora-h", 1),
+    ],
+)
+def test_action_uniforms_drawn_only_when_read(request, monkeypatch, instance, algo, draws):
+    """One-hot strategies read no action uniform, so a trial whose every
+    strategy is one-hot (debora always; debora-s while its widths exceed
+    1) never draws them, and a sampling trial draws them once."""
+    from repmab import harness
+
+    spec = request.getfixturevalue(instance)
+    finish_uniforms = harness.finish_uniforms
+    calls = []
+
+    def counted(states, words):
+        calls.append(np.size(words))
+        return finish_uniforms(states, words)
+
+    monkeypatch.setattr(harness, "finish_uniforms", counted)
+    log = run_trial(spec, algo, 3, 4, delta=0.05, rho=0.2, horizon=2000)
+    if draws == 0:
+        assert (np.count_nonzero(log.epochs.x, axis=1) == 1).all()
+    assert calls == [2000] * draws
+
+
 def test_feedback_is_the_table_entry_of_the_played_arm(reference_soft):
     """Feedback drawn for the played (round, arm) pairs equals the full
     realization table at [t-1, a_t]."""

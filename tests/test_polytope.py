@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repmab.polytope import (
     Infeasible,
     SimplexPolytopeLP,
     brute_force_optimum,
+    check_feasible,
     least_violation_strategy,
     solve,
 )
@@ -147,3 +148,38 @@ def test_brute_force_size_guard():
         brute_force_optimum(
             SimplexPolytopeLP(np.ones(7), np.zeros((0, 7)), np.zeros(0))
         )
+
+
+# round values make ties, degenerate vertices and exactly binding rows
+_ENTRY = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _constraint_rows(draw):
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    mat = draw(st.lists(st.lists(_ENTRY, min_size=k, max_size=k), min_size=m, max_size=m))
+    bnd = draw(st.lists(_ENTRY, min_size=m, max_size=m))
+    return np.array(mat), np.array(bnd)
+
+
+@given(_constraint_rows())
+@example((np.array([[0.9, 0.8]]), np.array([0.5])))  # empty
+@example((np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5])))  # one point
+@example((np.array([[1.0, 1.0, 1.0]]), np.array([1.0])))  # whole simplex
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_check_feasible_raises_exactly_when_zero_objective_solve_does(rows):
+    """The phase-1 check agrees with the zero-objective solve it replaces
+    on whether the region mat @ x <= bnd meets the simplex."""
+    mat, bnd = rows
+    try:
+        solve(SimplexPolytopeLP(np.zeros(mat.shape[1]), mat, bnd))
+        solved = True
+    except Infeasible:
+        solved = False
+    try:
+        check_feasible(mat, bnd)
+        feasible = True
+    except Infeasible:
+        feasible = False
+    assert feasible == solved
