@@ -91,7 +91,6 @@ class EpochState:
 
     h: int
     counts: np.ndarray  # pulls per arm so far
-    epoch_start_counts: np.ndarray  # pulls per arm at the last close
     r_hat: np.ndarray
     g_hat: np.ndarray
     zeta: np.ndarray
@@ -176,7 +175,6 @@ class _EpochDoublingPolicy:
         self.state = EpochState(
             h=0,
             counts=zeros,
-            epoch_start_counts=zeros.copy(),
             r_hat=np.full(k, 0.5),
             g_hat=np.full((m, k), 0.5),
             zeta=confidence_widths(zeros, dp, rp),
@@ -211,8 +209,7 @@ class _EpochDoublingPolicy:
         """Advance to the next epoch: refresh estimates and reselect."""
         st = self.state
         counts = st.counts
-        prior_caps = np.maximum(2 * st.epoch_start_counts, 1)
-        if (counts > prior_caps).any():
+        if (counts > self.targets).any():
             raise RuntimeError("doubling discipline violated inside an epoch")
         st.h += 1
         if st.h > epoch_budget(self.spec.k, self.horizon):
@@ -220,7 +217,6 @@ class _EpochDoublingPolicy:
                 f"epoch index {st.h} exceeded budget "
                 f"{epoch_budget(self.spec.k, self.horizon)}"
             )
-        st.epoch_start_counts = counts.copy()
         st.zeta = confidence_widths(counts, st.delta_prime, st.rho_prime)
         self._update_estimates()
         self._select()
@@ -325,13 +321,12 @@ class DeboraS(_EpochDoublingPolicy):
 
 
 class DeboraH(DeboraS):
-    """Hard-constraint variant: blends the optimistic strategy with the
-    known strictly safe strategy whenever a constraint is at risk."""
+    """Hard-constraint variant: blends the soft variant's strategy with
+    the known strictly safe strategy whenever a constraint is at risk."""
 
     name = "debora-h"
 
     def __init__(self, spec, horizon, delta, rho, xi, oracle):
-        denominator = 2 * (spec.m + 1) * spec.k * spec.k * max(1, ceil_log2(horizon))
         if spec.m > 0 and not oracle.lambda_min > 0.0:
             raise ConfigError(
                 "hard-constraint variant requires a strictly feasible strategy "
@@ -339,20 +334,14 @@ class DeboraH(DeboraS):
             )
         self.margins = np.asarray(spec.thresholds, dtype=np.float64) - oracle.lam
         self.sigma_cap = 1.0 / (1.0 + oracle.lambda_min) if spec.m else 0.0
-        _EpochDoublingPolicy.__init__(
-            self, spec, horizon, delta, rho, xi, oracle, denominator, track_costs=True
-        )
+        super().__init__(spec, horizon, delta, rho, xi, oracle)
 
     def _select(self) -> None:
-        st = self.state
-        ucb = st.r_hat + st.zeta
-        pessimistic = st.g_hat - st.zeta[None, :]
-        x_tilde, fallback = optimistic_strategy(ucb, pessimistic, self.spec.thresholds)
-        self.last_fallback = fallback
+        super()._select()
         if self.m == 0:
-            st.sigma = 0.0
-            st.x_current = x_tilde
-            return
+            return  # nothing at risk: sigma stays 0
+        st = self.state
+        x_tilde = st.x_current
         optimistic_costs = (st.g_hat + st.zeta[None, :]) @ x_tilde
         sigma = mixing_coefficient(optimistic_costs, self.spec.thresholds, self.margins)
         if sigma > self.sigma_cap:

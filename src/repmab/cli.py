@@ -80,7 +80,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
@@ -153,7 +153,7 @@ def _trial_options(args, count_key: str, count_default: int):
 def _cmd_run(args) -> int:
     spec, algo, trials, kwargs, out_dir = _trial_options(args, "trials", 1)
     logs = run_batch(spec, algo, trials=trials, **kwargs)
-    for path in aggregate_and_export(logs, None, out_dir):
+    for path in aggregate_and_export(logs, out_dir=out_dir):
         print(path)
     return 0
 

@@ -161,6 +161,16 @@ def instance_from_dict(payload: dict, where: str = "instance") -> InstanceSpec:
         problems.append(f"{where}.thresholds must be a list of length m={m}")
     if problems:
         raise ValidationError("\n".join(problems))
+    entries = [(f"reward_means[{j}]", v) for j, v in enumerate(reward)]
+    entries += [
+        (f"cost_means[{i}][{j}]", v) for i, row in enumerate(costs) for j, v in enumerate(row)
+    ]
+    entries += [(f"thresholds[{i}]", v) for i, v in enumerate(thresholds)]
+    for name, value in entries:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            problems.append(f"{where}.{name} must be a number, got {value!r}")
+    if problems:
+        raise ValidationError("\n".join(problems))
 
     try:
         spec = InstanceSpec(
@@ -187,7 +197,7 @@ def load_instance(path: str | Path) -> InstanceSpec:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: cannot read file: {exc}") from exc
     try:
         payload = json.loads(text)

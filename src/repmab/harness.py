@@ -19,6 +19,8 @@ The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
 widths, estimates, sigma, fallback, and the clean and x*-containment
 flags, judged against the instance column-wise once the trial ends.
+The epoch of each round is not stored: the per-round keys are expanded
+once from the table's start rounds.
 
 Every trial ends in one gather: play yields a strategy key per round
 (the epoch index, or the arm for UCB1, whose strategy is the one-hot
@@ -118,7 +120,6 @@ class TrialLog:
     actions: np.ndarray
     rewards: np.ndarray
     costs: np.ndarray
-    epoch_of_round: np.ndarray
     epochs: np.recarray | None = None
     keys: np.ndarray | None = None
     strategies: np.ndarray | None = None
@@ -142,24 +143,16 @@ class TrialLog:
     @property
     def inst_violation(self) -> np.ndarray:
         """Clamped expected excess of each round, (m, T)."""
-        # take keeps C order, on which finalize's row sums depend bit for bit
+        # take keeps C order, on which _gather's row sums depend bit for bit
         return self.violation.take(self.keys, axis=1)
 
-    def finalize(self) -> None:
-        self.regret_total = float(np.sum(self.inst_regret))
-        if self.m:
-            # max over constraints of the summed clamped excess, never
-            # the sum of per-round maxima
-            self.violation_total = float(np.max(np.sum(self.inst_violation, axis=1)))
-        else:
-            self.violation_total = 0.0
-        epochs = self.epochs
-        self.epoch_count = int(epochs.h[-1]) if len(epochs) else 0
-        self.fallback_count = int(np.count_nonzero(epochs.fallback))
-        self.clean_all = bool(epochs.clean.all())
-        self.containment_ok = bool(epochs.contains_x_star.all())
-        self.unsafe_rounds = int(np.count_nonzero(self.per_round(self.unsafe)))
-        self.any_unsafe = self.unsafe_rounds > 0
+    @property
+    def epoch_of_round(self) -> np.ndarray:
+        """Epoch index of each round, (T,): the strategy key of the epoch
+        policies; the per-round baseline counts every round as an epoch."""
+        if len(self.epochs):
+            return self.keys
+        return np.arange(self.horizon, dtype=np.int32)
 
     def per_round(self, table) -> np.ndarray:
         """Expand a table with one entry per strategy key to one per round."""
@@ -191,7 +184,7 @@ class TrialLog:
             (self.actions, other.actions),
             (self.rewards, other.rewards),
             (self.costs, other.costs),
-            (self.epoch_of_round, other.epoch_of_round),
+            (self.keys, other.keys),
             (self.regret, other.regret),
             (self.violation, other.violation),
             (self.epochs, other.epochs),
@@ -231,27 +224,38 @@ def run_trial(
         actions=np.empty(horizon, dtype=np.int32),
         rewards=np.empty(horizon),
         costs=np.empty((spec.m, horizon)),
-        epoch_of_round=np.empty(horizon, dtype=np.int32),
     )
-    play = _play_per_round if isinstance(policy, Ucb1) else _play_epochs
-    _gather(log, spec, oracle, *play(log, policy, spec, oracle, xi, env))
-    log.finalize()
-    if log.epoch_count > epoch_budget(spec.k, horizon):
-        raise RuntimeError("epoch budget exceeded")
+    if isinstance(policy, Ucb1):
+        played = _play_per_round(log, policy, spec, env)
+    else:
+        played = _play_epochs(log, policy, spec, xi, env)
+    _gather(log, spec, oracle, *played)
     return log
 
 
 def _gather(log, spec, oracle, keys: np.ndarray, strategies: np.ndarray) -> None:
     """Fill the per-key regret, violation and unsafe tables of ``log``
     (each row of ``strategies`` is evaluated once; ``keys`` names the
-    row that each round played) and judge its epoch table."""
+    row that each round played), judge its epoch table and total up."""
     log.keys = keys
     log.strategies = strategies
     log.regret = np.array([instant_regret(spec, oracle, x) for x in strategies])
     log.violation = np.stack([instant_violation(spec, x) for x in strategies], axis=1)
     tol = spec.thresholds + SAFETY_TOL
     log.unsafe = np.array([not (spec.cost_means @ x <= tol).all() for x in strategies])
-    _judge_epochs(log.epochs, spec, oracle)
+    epochs = log.epochs
+    _judge_epochs(epochs, spec, oracle)
+    log.regret_total = float(np.sum(log.inst_regret))
+    if log.m:
+        # max over constraints of the summed clamped excess, never
+        # the sum of per-round maxima
+        log.violation_total = float(np.max(np.sum(log.inst_violation, axis=1)))
+    log.epoch_count = int(epochs.h[-1]) if len(epochs) else 0
+    log.fallback_count = int(np.count_nonzero(epochs.fallback))
+    log.clean_all = bool(epochs.clean.all())
+    log.containment_ok = bool(epochs.contains_x_star.all())
+    log.unsafe_rounds = int(np.count_nonzero(log.per_round(log.unsafe)))
+    log.any_unsafe = log.unsafe_rounds > 0
 
 
 def _judge_epochs(epochs: np.recarray, spec, oracle) -> None:
@@ -271,12 +275,13 @@ def _judge_epochs(epochs: np.recarray, spec, oracle) -> None:
     epochs.contains_x_star = (pessimistic <= spec.thresholds[:m] + SAFETY_TOL).all(axis=1)
 
 
-def _play_epochs(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, np.ndarray]:
+def _play_epochs(log, policy, spec, xi, env) -> tuple[np.ndarray, np.ndarray]:
     """Epoch policies: the strategy is frozen between closes, so each
     epoch is resolved as a whole.  Its actions come from the per-round
     labeled action uniforms, and feedback is drawn only for the (round,
     arm) pairs actually played.  The strategy key is the epoch index,
-    which is also the epoch's row in the epoch table.
+    which is also the epoch's row in the epoch table; the per-round keys
+    are expanded from the table's start rounds once the last epoch ends.
 
     The round words are mixed once per trial and serve both the action
     uniforms and the feedback, whose label-prefix states are tabulated
@@ -305,15 +310,15 @@ def _play_epochs(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, np.nda
         arms = _epoch_actions(x, need, action_u, lo, horizon)
         hi = lo + arms.size
         log.actions[lo:hi] = arms
-        log.epoch_of_round[lo:hi] = st.h
         feedback = streams.draw(arms, rnd_words[lo:hi])
         log.rewards[lo:hi] = feedback[0]
         log.costs[:, lo:hi] = feedback[1:]
         policy.observe_epoch(arms, feedback)
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
-            log.epochs = table[: st.h + 1].copy()
-            return log.epoch_of_round, log.epochs.x
+            epochs = log.epochs = table[: st.h + 1].copy()
+            lengths = np.diff(epochs.t_start, append=horizon + 1)
+            return np.arange(st.h + 1, dtype=np.int32).repeat(lengths), epochs.x
         policy.close_epoch()
         lo = hi
 
@@ -362,7 +367,7 @@ def _first_target_hit(arms: np.ndarray, need: np.ndarray) -> int:
     return int(order[nth[reached]].min())
 
 
-def _play_per_round(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, np.ndarray]:
+def _play_per_round(log, policy, spec, env) -> tuple[np.ndarray, np.ndarray]:
     """Per-round baseline: each pick depends on the rewards seen so far.
     Its strategy is the one-hot of the pick, so the key is the arm."""
     horizon = log.horizon
@@ -376,7 +381,6 @@ def _play_per_round(log, policy, spec, oracle, xi, env) -> tuple[np.ndarray, np.
     rounds = np.arange(horizon)
     log.rewards[:] = rewards[rounds, log.actions]
     log.costs[:] = costs[:, rounds, log.actions]
-    log.epoch_of_round[:] = rounds
     log.epochs = _epoch_table(0, spec.k, spec.m)
     return log.actions, np.eye(spec.k)
 
@@ -564,11 +568,7 @@ def _median(values: np.ndarray) -> float:
     return float(np.mean(ordered[mid - 1 + ordered.size % 2 : mid + 1]))
 
 
-def aggregate_and_export(
-    logs: list[TrialLog],
-    report: ReplicabilityReport | None,
-    out_dir: str | Path,
-) -> list[Path]:
+def aggregate_and_export(logs: list[TrialLog], out_dir: str | Path) -> list[Path]:
     """Write per-round CSV, summary JSON, and the regret-curve CSV.
 
     Output bytes are a pure function of the inputs: floats are rendered
@@ -628,7 +628,7 @@ def aggregate_and_export(
         "clean_event_flag_rate": float(
             np.mean([0.0 if log.clean_all else 1.0 for log in logs])
         ),
-        "replicability": None if report is None else report.to_dict(),
+        "replicability": None,
     }
     summary_path = out / "summary.json"
     summary_path.write_text(
@@ -654,7 +654,4 @@ def aggregate_and_export(
             )
         ))
     written.append(curve_path)
-
-    if report is not None and report.pair_results:
-        written.append(write_pairs_csv(report, out))
     return written

@@ -50,6 +50,7 @@ _MIX_M2 = 0x94D049BB133111EB
 _DOMAIN = 0xD6E8FEB86659FD93
 _NONE_WORD = _MASK64
 _TWO53 = float(1 << 53)
+SIMPLEX_TOL = 1e-9
 
 _U64 = np.uint64
 _U11, _U27, _U30, _U31 = _U64(11), _U64(27), _U64(30), _U64(31)
@@ -309,15 +310,15 @@ def first_uniforms(
         return finish_uniforms(states, field_words(rnd, "rnd"))
 
 
-def validate_strategy(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Check that x is a point of the probability simplex (within tol)."""
+def validate_strategy(x: np.ndarray) -> np.ndarray:
+    """Check that x is a point of the probability simplex (within SIMPLEX_TOL)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("strategy must be a nonempty 1-d vector")
     if (x < 0.0).any():
         raise ValueError("strategy has negative entries")
     total = float(np.cumsum(x)[-1])
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"strategy entries sum to {total!r}, not 1")
     return x
 

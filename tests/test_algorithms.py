@@ -274,3 +274,24 @@ def test_debora_h_sigma_cap_holds_at_tiny_margins():
     assert oracle.lambda_min == float(np.min(spec.thresholds - oracle.lam))
     log = run_trial(spec, "debora-h", 0, 0, delta=0.05, rho=0.2, oracle=oracle)
     assert 0.0 < log.epochs[0].sigma <= 1.0 / (1.0 + oracle.lambda_min)
+
+
+@pytest.mark.parametrize("algo", ["debora", "debora-s", "debora-h"])
+def test_close_epoch_guards(reference_soft, algo):
+    """A close refuses an epoch in which some arm overshot its doubling
+    target, and an epoch index past the budget K * ceil(log2(T))."""
+    horizon = 1000
+    oracle = solve_oracle(reference_soft)
+
+    def policy():
+        return make_policy(algo, reference_soft, horizon, 0.05, 0.2, RandomSource(1), oracle)
+
+    overshot = policy()
+    overshot.state.counts = overshot.targets + 1
+    with pytest.raises(RuntimeError, match="doubling discipline violated"):
+        overshot.close_epoch()
+
+    last = policy()
+    last.state.h = epoch_budget(reference_soft.k, horizon)
+    with pytest.raises(RuntimeError, match="exceeded budget"):
+        last.close_epoch()

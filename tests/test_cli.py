@@ -312,3 +312,19 @@ def test_run_does_not_import_numpy_ma(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("flag", ["validate --instance", "run --instance", "run --config"])
+def test_non_utf8_input_exits_one(tmp_path, capsys, flag):
+    """A file that is not UTF-8 text is bad input (exit 1, ``error:``
+    naming the file), not a runtime failure."""
+    from repmab import cli
+
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"K": 1, "family": "\xff"}\n')
+    argv = [*flag.split(), str(bad)]
+    if argv[0] == "run":
+        argv += ["--algo", "debora", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "out").exists()

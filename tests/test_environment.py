@@ -240,6 +240,28 @@ def test_from_dict_rejects_json_booleans(key, value):
         instance_from_dict(payload)
 
 
+@pytest.mark.parametrize("value", [True, "0.5"])
+@pytest.mark.parametrize(
+    "key, where", [("reward_means", "[1]"), ("cost_means", "[0][1]"), ("thresholds", "[0]")]
+)
+def test_from_dict_rejects_non_numeric_means(key, where, value):
+    """JSON booleans and strings are not means, though numpy would read
+    them as 1.0 and 0.5."""
+    payload = {
+        "K": 2,
+        "m": 1,
+        "reward_means": [0.5, 0.5],
+        "cost_means": [[0.1, 0.5]],
+        "thresholds": [0.5],
+        "horizon": 10,
+    }
+    entries = payload[key][0] if key == "cost_means" else payload[key]
+    entries[-1] = value
+    with pytest.raises(ValidationError) as info:
+        instance_from_dict(payload)
+    assert str(info.value) == f"instance.{key}{where} must be a number, got {value!r}"
+
+
 def test_load_instance_reports_json_line(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n  "K": 2,\n  "m": oops\n}\n')

@@ -191,7 +191,7 @@ def test_export_files_and_identities(tmp_path, reference_soft):
     logs = run_batch(
         reference_soft, "debora-s", delta=0.05, rho=0.2, trials=3, seed=2, horizon=120
     )
-    paths = aggregate_and_export(logs, None, tmp_path / "out")
+    paths = aggregate_and_export(logs, tmp_path / "out")
     names = {p.name for p in paths}
     assert names == {"rounds.csv", "summary.json", "regret_curve.csv"}
 
@@ -227,7 +227,7 @@ def test_export_omits_violation_columns_unconstrained(tmp_path, reference_uncons
     logs = run_batch(
         reference_unconstrained, "debora", delta=0.05, rho=0.2, trials=1, seed=2, horizon=50
     )
-    aggregate_and_export(logs, None, tmp_path / "out")
+    aggregate_and_export(logs, tmp_path / "out")
     header = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[0]
     assert "violation" not in header
     assert "cost" not in header
@@ -238,7 +238,7 @@ def test_export_bytes_reproducible(tmp_path, reference_soft):
         logs = run_batch(
             reference_soft, "debora-h", delta=0.05, rho=0.2, trials=2, seed=4, horizon=100
         )
-        aggregate_and_export(logs, None, tmp_path / name)
+        aggregate_and_export(logs, tmp_path / name)
     for fname in ("rounds.csv", "summary.json", "regret_curve.csv"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
@@ -247,7 +247,7 @@ def test_export_ucb1_one_hot_strategies(tmp_path, reference_unconstrained):
     logs = run_batch(
         reference_unconstrained, "ucb1", delta=0.05, rho=0.2, trials=1, seed=6, horizon=30
     )
-    aggregate_and_export(logs, None, tmp_path / "out")
+    aggregate_and_export(logs, tmp_path / "out")
     rows = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]
     for row in rows:
         fields = row.split(",")
@@ -297,7 +297,7 @@ def test_export_rejects_mixed_logs(tmp_path, request, other):
     algo = kwargs.pop("algo", "debora-s")
     mixed = base + run_batch(spec, algo, **kwargs)
     with pytest.raises(ValueError, match="must share"):
-        aggregate_and_export(mixed, None, tmp_path / "out")
+        aggregate_and_export(mixed, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -316,4 +316,4 @@ def test_export_rejects_other_arm_count(tmp_path, reference_unconstrained):
     logs = run_batch(reference_unconstrained, "debora", **kwargs)
     logs += run_batch(wider, "debora", **kwargs)
     with pytest.raises(ValueError, match="arm count"):
-        aggregate_and_export(logs, None, tmp_path / "out")
+        aggregate_and_export(logs, tmp_path / "out")
