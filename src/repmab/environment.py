@@ -18,7 +18,7 @@ import numpy as np
 
 from . import polytope
 from .polytope import Infeasible, SimplexPolytopeLP
-from .randomness import RandomSource, field_words, finish_uniforms, label_states
+from .randomness import RandomSource, field_words, finish_bits, label_states, round_words
 from .randomness import first_uniforms  # noqa: F401  (perfbench/tracer.py wraps it by name)
 
 __all__ = [
@@ -267,10 +267,12 @@ class FeedbackStreams:
     stream states and row i+1 the ``env-cost`` states of constraint i,
     one column per arm, each absorbed up to and including ``cons``.  A
     draw then only absorbs the round word and mixes once more, and
-    realizes each signal as 1 when its uniform falls below the mean.
+    realizes each signal as 1 when its uniform n / 2^53 falls below the
+    mean μ, read as the exact integer compare n < ``limits`` =
+    ceil(μ · 2^53) (so μ = 0 never fires and μ = 1 always does).
     """
 
-    __slots__ = ("states", "means")
+    __slots__ = ("states", "limits")
 
     def __init__(self, spec: InstanceSpec, env: RandomSource):
         arms = np.arange(spec.k)
@@ -278,12 +280,14 @@ class FeedbackStreams:
             label_states(env, "env-reward", arm=arms),
             label_states(env, "env-cost", arm=arms, cons=np.arange(spec.m)[:, None]),
         ])
-        self.means = np.vstack([spec.reward_means, spec.cost_means])
+        means = np.vstack([spec.reward_means, spec.cost_means])
+        self.limits = np.ceil(np.ldexp(means, 53)).astype(np.uint64)
 
     def draw(self, arms, rnd_words) -> np.ndarray:
         """Boolean (m+1, ...) feedback of pulling ``arms`` at the rounds
         whose ``field_words`` are ``rnd_words`` (the two broadcast)."""
-        return finish_uniforms(self.states[:, arms], rnd_words) < self.means[:, arms]
+        bits = finish_bits(self.states.take(arms, axis=1), rnd_words)
+        return bits < self.limits.take(arms, axis=1)
 
 
 def sample_feedback(
@@ -309,7 +313,7 @@ def feedback_tables(
     Entry [t-1, a] equals what sample_feedback(spec, a, t, env) returns,
     which is what lets trial loops read realizations by position.
     """
-    rounds = field_words(np.arange(1, horizon + 1)[:, None], "rnd")
+    rounds = round_words(horizon)[:, None]
     feedback = FeedbackStreams(spec, env).draw(np.arange(spec.k)[None, :], rounds)
     feedback = feedback.astype(np.float64)
     return feedback[0], feedback[1:]

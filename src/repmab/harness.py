@@ -11,9 +11,10 @@ has one positive-mass arm, whichever policy chose it; the uniforms are
 drawn only once some strategy has two), its end from
 the first doubling target hit, and feedback only for the (round, arm)
 pairs played.  Estimates are refreshed once per epoch, and the label
-work that every epoch would repeat (round words, feedback label
-prefixes) is tabulated once per trial.  Only the per-round UCB1
-baseline loops over rounds in Python, and only to pick and observe.
+work that every epoch would repeat is tabulated: the feedback label
+prefixes once per trial, the round words once per horizon.  Only the
+per-round UCB1 baseline loops over rounds in Python, and only to pick
+and observe.
 
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
@@ -55,10 +56,10 @@ from .environment import (
 from .randomness import (
     RandomSource,
     StreamLabel,
-    field_words,
     finish_uniforms,
     index_from_cdf,
     label_states,
+    round_words,
     validate_strategy,
 )
 from .randomness import first_uniforms  # noqa: F401  (perfbench/tracer.py wraps it by name)
@@ -283,16 +284,17 @@ def _play_epochs(log, policy, spec, xi, env) -> tuple[np.ndarray, np.ndarray]:
     which is also the epoch's row in the epoch table; the per-round keys
     are expanded from the table's start rounds once the last epoch ends.
 
-    The round words are mixed once per trial and serve both the action
-    uniforms and the feedback, whose label-prefix states are tabulated
-    once per trial too; an epoch's feedback is then one gather plus two
-    mixes over (m+1, L).  A strategy with one positive-mass arm reads no
+    The round words come from the read-only table that every trial at
+    this horizon shares, and serve both the action uniforms and the
+    feedback, whose label-prefix states are tabulated once per trial; an
+    epoch's feedback is then one gather plus two mixes over (m+1, L) and
+    an integer compare.  A strategy with one positive-mass arm reads no
     action uniform, so the T uniforms are drawn on first read, at the
     first epoch whose strategy has two positive-mass arms: never in a
     ``debora`` trial, nor in one whose strategies all stay one-hot.
     """
     horizon = log.horizon
-    rnd_words = field_words(np.arange(1, horizon + 1), "rnd")
+    rnd_words = round_words(horizon)
     action_u = None
     streams = FeedbackStreams(spec, env)
     table = _epoch_table(epoch_budget(spec.k, horizon) + 1, spec.k, policy.m)

@@ -20,11 +20,20 @@ prefix over a grid of leading fields; ``absorb_words`` and
 ``finish_uniforms`` absorb word tables into states and read the first
 uniform.  ``first_uniforms`` is the composition for a whole label grid.
 Trials tabulate the prefixes and words they reuse, so a draw costs one
-absorb and one final mix.
+absorb and one final mix, both in place through one temporary array.
+The round words of rounds 1..T are one read-only table per horizon,
+``round_words(T)``, shared by every trial at that horizon.
+
+A first uniform is n / 2^53 for the 53-bit integer n that
+``finish_bits`` returns.  Both n / 2^53 and μ · 2^53 are exact, so a
+Bernoulli(μ) signal ``u < μ`` is realized exactly by the integer
+compare ``n < ceil(μ · 2^53)``, with a threshold computed once per
+table of means; μ = 0 never fires and μ = 1 always does.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -36,9 +45,11 @@ __all__ = [
     "UniformStream",
     "absorb_words",
     "field_words",
+    "finish_bits",
     "finish_uniforms",
     "first_uniforms",
     "label_states",
+    "round_words",
     "sample_categorical",
     "validate_strategy",
 ]
@@ -70,19 +81,23 @@ def _absorb_int(state: int, word: int) -> int:
     return _mix_int(((state + _GOLDEN) & _MASK64) ^ _mix_int(word ^ _DOMAIN))
 
 
-def _mix_u64(z: np.ndarray) -> np.ndarray:
-    """Vectorized twin of _mix_int: mixes a fresh uint64 ndarray in
-    place and returns it (a numpy scalar is rebound instead).
+def _mix_u64(z):
+    """Vectorized twin of _mix_int: mixes a uint64 ndarray in place
+    through one temporary and returns it.  A numpy scalar is mixed as a
+    0-d array and given back as a new numpy scalar.
 
-    Wraps mod 2^64 like _mix_int; callers on numpy scalars silence the
-    overflow warning with ``np.errstate(over="ignore")``.
+    Wraps mod 2^64 like _mix_int, on arrays only, so it never warns.
     """
-    z ^= z >> _U30
-    z *= _U_M1
-    z ^= z >> _U27
-    z *= _U_M2
-    z ^= z >> _U31
-    return z
+    a = z if isinstance(z, np.ndarray) else np.array(z, dtype=np.uint64)
+    tmp = np.right_shift(a, _U30, out=np.empty_like(a))
+    a ^= tmp
+    a *= _U_M1
+    np.right_shift(a, _U27, out=tmp)
+    a ^= tmp
+    a *= _U_M2
+    np.right_shift(a, _U31, out=tmp)
+    a ^= tmp
+    return a if a is z else a[()]
 
 
 def _purpose_word(purpose: str) -> int:
@@ -162,8 +177,7 @@ class UniformStream:
     def next_block(self, n: int) -> np.ndarray:
         """Next n uniforms as a float64 array."""
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            raw = _mix_u64(np.asarray(self._key, dtype=np.uint64) + idx * _U_GOLDEN)
+        raw = _mix_u64(np.asarray(self._key, dtype=np.uint64) + idx * _U_GOLDEN)
         self._count += n
         return (raw >> _U11).astype(np.float64) / _TWO53
 
@@ -226,25 +240,50 @@ def field_words(value, name: str):
 def absorb_words(states, words) -> np.ndarray:
     """Absorb pre-mixed field words into stream states (broadcasting).
 
-    States may be python ints.  When states and words are both scalars
-    the arithmetic is numpy scalar arithmetic, whose intended mod-2^64
-    wrap-around warns unless the caller enters
-    ``np.errstate(over="ignore")``.
+    States may be python ints.  The result is a fresh uint64 array of
+    the broadcast shape (0-d when both are scalars), mixed in place.
+    The golden offset is added over the states' shape, so the result is
+    the only array allocated at its full size.
     """
-    return _mix_u64((np.asarray(states, dtype=np.uint64) + _U_GOLDEN) ^ words)
+    states = np.asarray(states, dtype=np.uint64)
+    z = np.add(states, _U_GOLDEN, out=np.empty_like(states))
+    if np.broadcast(z, words).shape == z.shape:
+        z ^= words
+    else:  # the words widen the grid
+        z = z ^ words
+    return _mix_u64(z)
+
+
+def finish_bits(states, words) -> np.ndarray:
+    """Absorb one last field of pre-mixed words, then read the 53-bit
+    integer n of each stream's first uniform n / 2^53 (its counter-1
+    value).  Broadcasting as in ``absorb_words``.  A Bernoulli(μ) signal
+    is ``n < ceil(μ · 2^53)``, exactly ``u < μ`` (module docstring)."""
+    raw = absorb_words(states, words)
+    raw += _U_GOLDEN
+    _mix_u64(raw)
+    raw >>= _U11
+    return raw
 
 
 def finish_uniforms(states, words) -> np.ndarray:
-    """Absorb one last field of pre-mixed words, then read each stream's
-    first uniform (its counter-1 value).  Scalars as in
-    ``absorb_words``."""
-    raw = absorb_words(states, words)
-    raw += _U_GOLDEN
-    raw = _mix_u64(raw)
-    raw >>= _U11
-    u = raw.astype(np.float64)
+    """The first uniform of each stream, as ``finish_bits`` / 2^53."""
+    u = finish_bits(states, words).astype(np.float64)
     u /= _TWO53
     return u
+
+
+@functools.lru_cache(maxsize=1)
+def round_words(horizon: int) -> np.ndarray:
+    """Read-only table of the ``rnd`` field words of rounds 1..horizon.
+
+    Every trial at one horizon reads the same table, so the trials of a
+    batch, a pair or a benchmark run hash it once; only the last horizon
+    asked for is kept (8 bytes a round).
+    """
+    words = field_words(np.arange(1, horizon + 1), "rnd")
+    words.flags.writeable = False
+    return words
 
 
 _PREFIX_FIELDS = ("epoch", "arm", "cons")
@@ -305,9 +344,8 @@ def first_uniforms(
     with the ``rnd`` words; callers that draw many labels sharing a
     prefix keep the states and the words as tables instead.
     """
-    with np.errstate(over="ignore"):
-        states = label_states(source, purpose, epoch=epoch, arm=arm, cons=cons)
-        return finish_uniforms(states, field_words(rnd, "rnd"))
+    states = label_states(source, purpose, epoch=epoch, arm=arm, cons=cons)
+    return finish_uniforms(states, field_words(rnd, "rnd"))
 
 
 def validate_strategy(x: np.ndarray) -> np.ndarray:
@@ -318,7 +356,7 @@ def validate_strategy(x: np.ndarray) -> np.ndarray:
     if (x < 0.0).any():
         raise ValueError("strategy has negative entries")
     total = float(np.cumsum(x)[-1])
-    if abs(total - 1.0) > SIMPLEX_TOL:
+    if not abs(total - 1.0) <= SIMPLEX_TOL:  # NaN fails this too
         raise ValueError(f"strategy entries sum to {total!r}, not 1")
     return x
 

@@ -19,7 +19,7 @@ from repmab.environment import (
     sample_feedback,
     solve_oracle,
 )
-from repmab.randomness import RandomSource, field_words
+from repmab.randomness import RandomSource, field_words, finish_uniforms
 
 
 def make_spec(reward, costs, thresholds, horizon=100):
@@ -321,6 +321,80 @@ def test_pair_feedback_is_the_table_entry(k, m, horizon, env_seed, data):
         reward, c = sample_feedback(spec, a, t, env)
         assert reward == rewards[t - 1, a]
         assert np.array_equal(c, cost_tab[:, t - 1, a])
+
+
+def _near(kind, value):
+    """``value`` or one of its float neighbours, kept inside [0, 1]."""
+    if kind == 0:
+        return value
+    nxt = np.nextafter(value, 1.0 if kind > 0 else 0.0)
+    return float(nxt) if 0.0 <= nxt <= 1.0 else value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    m=st.integers(0, 2),
+    horizon=st.integers(1, 8),
+    env_seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_threshold_draw_equals_uniform_compare(k, m, horizon, env_seed, data):
+    """``FeedbackStreams.draw``, an integer compare of the 53-bit word
+    against ceil(μ · 2^53), realizes exactly ``u < μ`` for the signal's
+    uniform u, also at means on or next to j / 2^53 and to u itself."""
+    env = RandomSource(env_seed)
+    words = field_words(np.arange(1, horizon + 1), "rnd")
+    zeros = np.zeros((m, k))
+    states = FeedbackStreams(make_spec(np.zeros(k), zeros, zeros.max(axis=1, initial=0.0)), env).states
+    uniforms = finish_uniforms(states[:, None, :], words[:, None])  # (m+1, T, K)
+    base = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0]),
+        st.integers(0, 2**53).map(lambda j: j / 2.0**53),
+        st.integers(0, horizon - 1).map(lambda t: ("round", t)),
+    )
+
+    def mean(signal, arm):
+        value = data.draw(base)
+        if isinstance(value, tuple):  # the uniform this signal reads at that round
+            value = float(uniforms[signal, value[1], arm])
+        return _near(data.draw(st.sampled_from([-1, 0, 1])), value)
+
+    means = np.array([[mean(i, a) for a in range(k)] for i in range(m + 1)])
+    costs = means[1:]
+    spec = make_spec(means[0], costs, costs.max(axis=1, initial=0.0), horizon)
+    streams = FeedbackStreams(spec, env)
+
+    def old(arms, rnd_words):
+        return finish_uniforms(states[:, arms], rnd_words) < means[:, arms]
+
+    arm, t = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, horizon - 1))
+    drawn = streams.draw(arm, words[t])
+    assert drawn.shape == (m + 1,) and np.array_equal(drawn, old(arm, words[t]))
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, horizon - 1)), min_size=1, max_size=12
+    ))
+    arms, rounds = (np.array(col) for col in zip(*pairs))
+    assert np.array_equal(streams.draw(arms, words[rounds]), old(arms, words[rounds]))
+    grid = streams.draw(np.arange(k)[None, :], words[:, None])
+    assert grid.shape == (m + 1, horizon, k)
+    assert np.array_equal(grid, old(np.arange(k)[None, :], words[:, None]))
+
+
+def test_threshold_draw_at_the_uniform_itself():
+    """A mean equal to the signal's uniform does not fire; the next float
+    up does, and so does 1, while 0 never does."""
+    env, k, m = RandomSource(2026), 3, 2
+    word = field_words(5, "rnd")
+    zeros = np.zeros((m, k))
+    states = FeedbackStreams(make_spec(np.zeros(k), zeros, np.zeros(m)), env).states
+    u = finish_uniforms(states, word)
+    for means, fires in ((u, False), (np.nextafter(u, 0.0), False), (np.nextafter(u, 1.0), True),
+                         (np.zeros_like(u), False), (np.ones_like(u), True)):
+        spec = make_spec(means[0], means[1:], means[1:].max(axis=1))
+        drawn = FeedbackStreams(spec, env).draw(np.arange(k), word)
+        assert (drawn == fires).all()
 
 
 def test_sample_feedback_rejects_bad_round():

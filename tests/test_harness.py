@@ -10,6 +10,7 @@ from repmab.harness import (
     run_replicability_experiment,
     run_trial,
 )
+from repmab.randomness import round_words
 
 
 def test_replay_invariance_bit_identical(reference_soft):
@@ -18,6 +19,17 @@ def test_replay_invariance_bit_identical(reference_soft):
         a = run_trial(reference_soft, algo, 123, 456, **kwargs)
         b = run_trial(reference_soft, algo, 123, 456, **kwargs)
         assert a.equals(b), algo
+
+
+def test_horizon_switches_reuse_no_stale_round_words(reference_soft):
+    """Trials at T=A, then B, then A again (the shared round-word table
+    holds one horizon) equal fresh runs on an emptied table."""
+    kwargs = dict(delta=0.05, rho=0.2)
+    runs = [(algo, horizon) for horizon in (700, 300, 700) for algo in ("debora-h", "ucb1")]
+    logs = [run_trial(reference_soft, algo, 7, 8, horizon=horizon, **kwargs) for algo, horizon in runs]
+    for (algo, horizon), log in zip(runs, logs):
+        round_words.cache_clear()
+        assert log.equals(run_trial(reference_soft, algo, 7, 8, horizon=horizon, **kwargs))
 
 
 @pytest.mark.parametrize("field", ["r_hat", "zeta", "clean"])

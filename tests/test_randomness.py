@@ -1,5 +1,7 @@
 """Tests for labeled stream derivation and categorical sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,10 +16,12 @@ from repmab.randomness import (
     _mix_u64,
     absorb_words,
     field_words,
+    finish_bits,
     finish_uniforms,
     first_uniforms,
     index_from_cdf,
     label_states,
+    round_words,
     sample_categorical,
     validate_strategy,
 )
@@ -108,11 +112,56 @@ def test_first_uniforms_scalar_prefix_and_trailing_fields():
         first_uniforms(src, "env-reward", arm=np.array([0, -1]), rnd=1)
 
 
+_MIX_VALUES = [0, 1, 2**31, 2**63 - 1, 2**64 - 1, 0xDEADBEEF]
+
+
 def test_scalar_and_vector_mixers_agree():
-    values = [0, 1, 2**31, 2**63 - 1, 2**64 - 1, 0xDEADBEEF]
-    vec = _mix_u64(np.array(values, dtype=np.uint64))
-    for v, mixed in zip(values, vec):
-        assert _mix_int(v) == int(mixed)
+    for shape in [(6,), (2, 3), (3, 2)]:
+        values = np.array(_MIX_VALUES, dtype=np.uint64).reshape(shape)
+        vec = values.copy()
+        assert _mix_u64(vec) is vec  # mixed in place
+        for v, mixed in zip(values.ravel().tolist(), vec.ravel().tolist()):
+            assert _mix_int(v) == mixed
+
+
+@pytest.mark.parametrize("value", _MIX_VALUES)
+def test_mixer_on_zero_d_arrays_and_numpy_scalars(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on any path
+        zero_d = np.array(value, dtype=np.uint64)
+        assert _mix_u64(zero_d) is zero_d
+        assert zero_d.shape == () and int(zero_d) == _mix_int(value)
+        scalar = np.uint64(value)
+        mixed = _mix_u64(scalar)
+        assert isinstance(mixed, np.uint64) and int(mixed) == _mix_int(value)
+        assert int(scalar) == value
+        label = StreamLabel("env-reward", arm=value % 7, rnd=value % 2**63)
+        src = RandomSource(value)
+        scalar_u = first_uniforms(src, "env-reward", arm=value % 7, rnd=value % 2**63)
+        assert float(scalar_u) == src.derive_stream(label).next_uniform()
+
+
+def test_round_words_is_one_read_only_table_per_horizon():
+    table = round_words(50)
+    assert np.array_equal(table, field_words(np.arange(1, 51), "rnd"))
+    assert round_words(50) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        table[:, None][3, 0] += 1
+    other = round_words(7)
+    assert np.array_equal(other, field_words(np.arange(1, 8), "rnd"))
+    assert np.array_equal(round_words(50), table)
+
+
+def test_finish_bits_are_the_uniforms_numerators():
+    src = RandomSource(17)
+    states = label_states(src, "env-cost", arm=np.arange(3), cons=np.arange(2)[:, None])
+    words = field_words(np.arange(1, 6), "rnd")[:, None, None]
+    bits = finish_bits(states, words)
+    assert bits.dtype == np.uint64 and bits.shape == (5, 2, 3)
+    assert (bits < 2**53).all()
+    assert np.array_equal(bits / 2.0**53, finish_uniforms(states, words))
 
 
 def test_uniformity_chi_square():
@@ -178,6 +227,16 @@ def test_categorical_rejects_bad_strategy():
         sample_categorical(FixedStream([0.5]), np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         sample_categorical(FixedStream([0.5]), np.array([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_strategy_with_nan_rejected(position):
+    x = np.array([0.5, 0.5, 0.5])
+    x[position] = np.nan
+    with pytest.raises(ValueError, match="sum"):
+        validate_strategy(x)
+    with pytest.raises(ValueError, match="sum"):
+        sample_categorical(FixedStream([0.5]), x)
 
 
 def test_validate_strategy_tolerance():
