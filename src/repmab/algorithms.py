@@ -34,13 +34,7 @@ from . import polytope
 from .environment import InstanceSpec, OracleSolution
 from .estimator import confidence_widths, snap_to_grid
 from .polytope import Infeasible, SimplexPolytopeLP
-from .randomness import (
-    RandomSource,
-    absorb_words,
-    field_words,
-    finish_uniforms,
-    label_states,
-)
+from .randomness import RandomSource, field_words, finish_uniforms, label_states
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -147,9 +141,7 @@ class _EpochDoublingPolicy:
     its target, twice its count at the epoch start.
 
     Tracked signals are indexed by row: row 0 is the reward and row i+1
-    the cost of constraint i.  The ``arm`` and ``cons`` words of the
-    offset labels are mixed once per trial into ``arm_words`` and
-    ``cons_words`` (row 0 carries the unset ``cons`` of the reward).
+    the cost of constraint i.
     """
 
     def __init__(
@@ -186,9 +178,6 @@ class _EpochDoublingPolicy:
         # feedback is 0/1, so these float sums are exact success counts
         self.sums = np.zeros((m + 1, k))
         self._row_offsets = k * np.arange(m + 1)[:, None]
-        self.arm_words = field_words(np.arange(k), "arm")
-        cons = [None, *range(m)]
-        self.cons_words = np.array([field_words(c, "cons") for c in cons])[:, None]
         self._offsets_base = -1  # first epoch of the block in _offsets
         self._offsets = None
         self.last_fallback = False
@@ -254,14 +243,15 @@ class _EpochDoublingPolicy:
 
     def _offset_block(self, base: int) -> np.ndarray:
         """Grid-offset uniforms of epochs base..base+OFFSET_BLOCK-1,
-        (OFFSET_BLOCK, m+1, K), from one pass over the word tables."""
-        epochs = np.arange(base, base + OFFSET_BLOCK)
-        rows = [label_states(self.xi, "offset-reward", epoch=epochs, through="epoch")]
+        (OFFSET_BLOCK, m+1, K): the full label prefixes of the block,
+        one grid per purpose, finished with the unset ``rnd`` word."""
+        epochs = np.arange(base, base + OFFSET_BLOCK)[:, None, None]
+        arms = np.arange(self.spec.k)
+        rows = [label_states(self.xi, "offset-reward", epoch=epochs, arm=arms)]
         if self.m:
-            rows += [label_states(self.xi, "offset-cost", epoch=epochs, through="epoch")] * self.m
-        states = absorb_words(np.stack(rows, axis=1)[:, :, None], self.arm_words)
-        states = absorb_words(states, self.cons_words)
-        return finish_uniforms(states, field_words(None, "rnd"))
+            cons = np.arange(self.m)[:, None]
+            rows.append(label_states(self.xi, "offset-cost", epoch=epochs, arm=arms, cons=cons))
+        return finish_uniforms(np.concatenate(rows, axis=1), field_words(None, "rnd"))
 
     def _update_estimates(self) -> None:
         raise NotImplementedError

@@ -21,9 +21,9 @@ from .algorithms import ALGORITHM_NAMES, ConfigError, check_delta_rho
 from .environment import ValidationError, load_instance
 from .harness import (
     aggregate_and_export,
+    export_replicability,
     run_batch,
     run_replicability_experiment,
-    write_pairs_csv,
 )
 
 # the JSON type each config key takes (float keys also accept integers)
@@ -161,14 +161,8 @@ def _cmd_run(args) -> int:
 def _cmd_replicability(args) -> int:
     spec, algo, pairs, kwargs, out_dir = _trial_options(args, "pairs", 50)
     report = run_replicability_experiment(spec, algo, n_pairs=pairs, **kwargs)
-    report_path = out_dir / "replicability.json"
-    report_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(report_path)
-    pairs_path = write_pairs_csv(report, out_dir)
-    print(pairs_path)
+    for path in export_replicability(report, out_dir):
+        print(path)
     return 0
 
 

@@ -310,8 +310,8 @@ def feedback_tables(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full realization tables: rewards (T, K) and costs (m, T, K).
 
-    Entry [t-1, a] equals what sample_feedback(spec, a, t, env) returns,
-    which is what lets trial loops read realizations by position.
+    Entry [t-1, a] equals what sample_feedback(spec, a, t, env) returns;
+    the tests read the trials' feedback against these tables.
     """
     rounds = round_words(horizon)[:, None]
     feedback = FeedbackStreams(spec, env).draw(np.arange(spec.k)[None, :], rounds)

@@ -14,7 +14,7 @@ pairs played.  Estimates are refreshed once per epoch, and the label
 work that every epoch would repeat is tabulated: the feedback label
 prefixes once per trial, the round words once per horizon.  Only the
 per-round UCB1 baseline loops over rounds in Python, and only to pick
-and observe.
+and observe; its feedback comes from the same labeled streams.
 
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
@@ -29,15 +29,19 @@ of its pick) and a table of strategies per key (the epoch table's
 ``x`` column).  Expected regret, violation and safety are evaluated and
 kept once per key; per-round arrays are expanded from them on demand.
 
-Exports format each cell that depends on the round only through its
-key once, and write each trial's rows with one join.
+Every output file goes through one of two writers: ``_write_csv`` for
+``rounds.csv``, ``regret_curve.csv`` and ``pairs.csv``, ``_write_json``
+for ``summary.json`` and ``replicability.json``.  ``rounds.csv`` is
+built column by column; the cells that depend on the round only through
+its key are formatted once per key and gathered through the keys.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +52,6 @@ from .environment import (
     FeedbackStreams,
     InstanceSpec,
     OracleSolution,
-    feedback_tables,
     instant_regret,
     instant_violation,
     solve_oracle,
@@ -62,16 +65,17 @@ from .randomness import (
     round_words,
     validate_strategy,
 )
+from .environment import feedback_tables  # noqa: F401  (perfbench/tracer.py wraps it by name)
 from .randomness import first_uniforms  # noqa: F401  (perfbench/tracer.py wraps it by name)
 
 __all__ = [
     "ReplicabilityReport",
     "TrialLog",
     "aggregate_and_export",
+    "export_replicability",
     "run_batch",
     "run_replicability_experiment",
     "run_trial",
-    "write_pairs_csv",
 ]
 
 SAFETY_TOL = environment.SAFETY_TOL
@@ -371,18 +375,24 @@ def _first_target_hit(arms: np.ndarray, need: np.ndarray) -> int:
 
 def _play_per_round(log, policy, spec, env) -> tuple[np.ndarray, np.ndarray]:
     """Per-round baseline: each pick depends on the rewards seen so far.
-    Its strategy is the one-hot of the pick, so the key is the arm."""
-    horizon = log.horizon
-    rewards, costs = feedback_tables(spec, env, horizon)
+    Its strategy is the one-hot of the pick, so the key is the arm.
+
+    The picks read a boolean (T, K) reward table (a True reward adds
+    exactly 1.0); the played arms' feedback is then drawn as the epoch
+    engine draws it, for the (round, arm) pairs played.
+    """
+    rnd_words = round_words(log.horizon)
+    streams = FeedbackStreams(spec, env)
+    rewards = streams.draw(np.arange(spec.k)[None, :], rnd_words[:, None])[0]
     picks = []
     for t, row in enumerate(rewards.tolist(), start=1):
         a = policy.pick(t)
         policy.observe(a, row[a])
         picks.append(a)
     log.actions[:] = picks
-    rounds = np.arange(horizon)
-    log.rewards[:] = rewards[rounds, log.actions]
-    log.costs[:] = costs[:, rounds, log.actions]
+    feedback = streams.draw(log.actions, rnd_words)
+    log.rewards[:] = feedback[0]
+    log.costs[:] = feedback[1:]
     log.epochs = _epoch_table(0, spec.k, spec.m)
     return log.actions, np.eye(spec.k)
 
@@ -448,15 +458,10 @@ class ReplicabilityReport:
     pair_results: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "mismatches": self.mismatches,
-            "rate": self.rate,
-            "rho_target": self.rho_target,
-            "half_width": self.half_width,
-            "action_mismatches": self.action_mismatches,
-            "action_rate": self.action_rate,
-        }
+        """The report's fields without the per-pair results."""
+        report = asdict(self)
+        del report["pair_results"]
+        return report
 
 
 def run_replicability_experiment(
@@ -468,7 +473,6 @@ def run_replicability_experiment(
     n_pairs: int,
     seed: int,
     horizon: int | None = None,
-    keep_pair_results: bool = True,
 ) -> ReplicabilityReport:
     """Paired trials with shared algorithm randomness.
 
@@ -493,17 +497,16 @@ def run_replicability_experiment(
         same_act = log_a.same_action_sequence(log_b)
         mismatches += 0 if same_seq else 1
         action_mismatches += 0 if same_act else 1
-        if keep_pair_results:
-            results.append(
-                {
-                    "pair": p,
-                    "xi_seed": xi_seed,
-                    "env_seed_1": env_a,
-                    "env_seed_2": env_b,
-                    "strategies_match": same_seq,
-                    "actions_match": same_act,
-                }
-            )
+        results.append(
+            {
+                "pair": p,
+                "xi_seed": xi_seed,
+                "env_seed_1": env_a,
+                "env_seed_2": env_b,
+                "strategies_match": same_seq,
+                "actions_match": same_act,
+            }
+        )
     half_width = 3.0 * math.sqrt(rho * (1.0 - rho) / n_pairs)
     return ReplicabilityReport(
         pairs=n_pairs,
@@ -520,45 +523,46 @@ def run_replicability_experiment(
 # -- export ------------------------------------------------------------
 
 
-def _rounds_rows(trial_idx: int, log: TrialLog) -> str:
-    """The rounds.csv rows of one trial.
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write ``header`` and ``rows`` (each a sequence of cell strings)
+    to ``path`` as UTF-8 with LF line ends, cells joined by commas."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+    return path
+
+
+def _write_json(path: Path, payload: dict) -> Path:
+    """Write ``payload`` to ``path`` as UTF-8 JSON with sorted keys, an
+    indent of 2 and a final newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.write_text(text, encoding="utf-8", newline="\n")
+    return path
+
+
+def _rounds_rows(trial_idx: int, log: TrialLog):
+    """The rounds.csv rows of one trial, built column by column.
 
     The strategy, regret and violation cells depend on the round only
-    through its strategy key, so each is formatted once per key.
+    through its strategy key, so each is formatted once per key and
+    gathered through ``log.keys``.
     """
-    x_cells = [";".join(map(repr, x)) for x in log.strategies.tolist()]
-    tails = [
-        ",".join(map(repr, tail))
-        for tail in zip(log.regret.tolist(), *log.violation.tolist())
-    ]
-    signals = zip(log.rewards.tolist(), *log.costs.tolist())
-    return "".join(
-        f"{trial_idx},{t},{epoch},{action},{x_cells[key]},"
-        f"{','.join(map(repr, signal))},{tails[key]}\n"
-        for t, epoch, action, key, signal in zip(
-            range(1, log.horizon + 1),
-            log.epoch_of_round.tolist(),
-            log.actions.tolist(),
-            log.keys.tolist(),
-            signals,
-        )
+    keys = log.keys.tolist()
+
+    def by_key(cells):
+        return map(cells.__getitem__, keys)
+
+    signals = (log.rewards.tolist(), *log.costs.tolist())
+    per_key = (log.regret.tolist(), *log.violation.tolist())
+    return zip(
+        itertools.repeat(str(trial_idx), log.horizon),
+        map(str, range(1, log.horizon + 1)),
+        map(str, log.epoch_of_round.tolist()),
+        map(str, log.actions.tolist()),
+        by_key([";".join(map(repr, x)) for x in log.strategies.tolist()]),
+        *(map(repr, signal) for signal in signals),
+        *(by_key(list(map(repr, column))) for column in per_key),
     )
-
-
-_PAIRS_HEADER = "pair,xi_seed,env_seed_1,env_seed_2,strategies_match,actions_match\n"
-
-
-def write_pairs_csv(report: ReplicabilityReport, out_dir: str | Path) -> Path:
-    """Write one row per trial pair of ``report`` to out_dir/pairs.csv."""
-    path = Path(out_dir) / "pairs.csv"
-    rows = "".join(
-        f"{row['pair']},{row['xi_seed']},{row['env_seed_1']},"
-        f"{row['env_seed_2']},{int(row['strategies_match'])},"
-        f"{int(row['actions_match'])}\n"
-        for row in report.pair_results
-    )
-    path.write_text(_PAIRS_HEADER + rows, encoding="utf-8", newline="\n")
-    return path
 
 
 def _median(values: np.ndarray) -> float:
@@ -574,10 +578,10 @@ def aggregate_and_export(logs: list[TrialLog], out_dir: str | Path) -> list[Path
     """Write per-round CSV, summary JSON, and the regret-curve CSV.
 
     Output bytes are a pure function of the inputs: floats are rendered
-    with repr (shortest round-trip form), JSON keys are sorted, newlines
-    are fixed.  Violation columns are omitted for unconstrained runs.
-    The logs must come from one configuration: the same algorithm, arm
-    count, constraint count and horizon.
+    with repr (shortest round-trip form), and every file goes through
+    ``_write_csv`` or ``_write_json``.  Violation columns are omitted
+    for unconstrained runs.  The logs must come from one configuration:
+    the same algorithm, arm count, constraint count and horizon.
     """
     if not logs:
         raise ValueError("need at least one trial log")
@@ -591,18 +595,15 @@ def aggregate_and_export(logs: list[TrialLog], out_dir: str | Path) -> list[Path
     horizon = first.horizon
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
 
-    rounds_path = out / "rounds.csv"
     header = ["trial", "t", "epoch", "action", "x_t", "reward"]
     header += [f"cost_{i + 1}" for i in range(m)]
     header += ["inst_regret"]
     header += [f"inst_violation_{i + 1}" for i in range(m)]
-    with rounds_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for trial_idx, log in enumerate(logs):
-            fh.write(_rounds_rows(trial_idx, log))
-    written.append(rounds_path)
+    rows = itertools.chain.from_iterable(
+        _rounds_rows(trial_idx, log) for trial_idx, log in enumerate(logs)
+    )
+    rounds_path = _write_csv(out / "rounds.csv", header, rows)
 
     regrets = np.array([log.regret_total for log in logs])
     violations = np.array([log.violation_total for log in logs])
@@ -632,13 +633,8 @@ def aggregate_and_export(logs: list[TrialLog], out_dir: str | Path) -> list[Path
         ),
         "replicability": None,
     }
-    summary_path = out / "summary.json"
-    summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written.append(summary_path)
+    summary_path = _write_json(out / "summary.json", summary)
 
-    curve_path = out / "regret_curve.csv"
     cum_regret = np.zeros(horizon)
     cum_violation = np.zeros(horizon)
     for log in logs:
@@ -647,13 +643,29 @@ def aggregate_and_export(logs: list[TrialLog], out_dir: str | Path) -> list[Path
             cum_violation += np.max(np.cumsum(log.inst_violation, axis=1), axis=0)
     cum_regret /= len(logs)
     cum_violation /= len(logs)
-    with curve_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,mean_cum_regret,mean_cum_violation\n")
-        fh.write("".join(
-            f"{t},{regret!r},{violation!r}\n"
-            for t, regret, violation in zip(
-                range(1, horizon + 1), cum_regret.tolist(), cum_violation.tolist()
-            )
-        ))
-    written.append(curve_path)
-    return written
+    rows = zip(
+        map(str, range(1, horizon + 1)),
+        map(repr, cum_regret.tolist()),
+        map(repr, cum_violation.tolist()),
+    )
+    curve_path = _write_csv(
+        out / "regret_curve.csv", ["t", "mean_cum_regret", "mean_cum_violation"], rows
+    )
+    return [rounds_path, summary_path, curve_path]
+
+
+_PAIRS_HEADER = [
+    "pair", "xi_seed", "env_seed_1", "env_seed_2", "strategies_match", "actions_match"
+]
+
+
+def export_replicability(report: ReplicabilityReport, out_dir: str | Path) -> list[Path]:
+    """Write the report to out_dir/replicability.json and one row per
+    trial pair (match flags as 0/1) to out_dir/pairs.csv."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = ([str(int(pair[name])) for name in _PAIRS_HEADER] for pair in report.pair_results)
+    return [
+        _write_json(out / "replicability.json", report.to_dict()),
+        _write_csv(out / "pairs.csv", _PAIRS_HEADER, rows),
+    ]

@@ -15,10 +15,11 @@ pure function of (key, counter).
 
 Absorbing a field mixes its value into a word and then mixes that word
 into the state, so both halves can be shared.  ``field_words`` mixes the
-words of a field once, as a table; ``label_states`` absorbs a label
-prefix over a grid of leading fields; ``absorb_words`` and
-``finish_uniforms`` absorb word tables into states and read the first
-uniform.  ``first_uniforms`` is the composition for a whole label grid.
+words of a field once, as a table; ``label_states`` absorbs the label
+prefix (purpose, epoch, arm, cons) over a grid of its fields;
+``absorb_words`` and ``finish_uniforms`` absorb word tables into states
+and read the first uniform.  ``first_uniforms`` is the composition for
+a whole label grid.
 Trials tabulate the prefixes and words they reuse, so a draw costs one
 absorb and one final mix, both in place through one temporary array.
 The round words of rounds 1..T are one read-only table per horizon,
@@ -296,24 +297,17 @@ def label_states(
     epoch: int | np.ndarray | None = None,
     arm: int | np.ndarray | None = None,
     cons: int | np.ndarray | None = None,
-    through: str = "cons",
 ):
     """Stream states after absorbing the label prefix (purpose, epoch,
     arm, cons), over the broadcast grid of the array-valued fields.
 
-    ``through`` names the last field absorbed ("purpose", "epoch",
-    "arm" or "cons"); the fields after it are left for the caller to
-    absorb from tables of ``field_words``.  Scalar fields ahead of the
-    first array field are absorbed on python ints, so an all-scalar
-    prefix gives a python int.  Finishing a full prefix with the ``rnd``
-    word through ``finish_uniforms`` gives the label's first uniform.
+    Scalar fields ahead of the first array field are absorbed on python
+    ints, so an all-scalar prefix gives a python int.  Finishing the
+    prefix with the ``rnd`` word through ``finish_uniforms`` gives the
+    label's first uniform.
     """
-    depth = 0 if through == "purpose" else _PREFIX_FIELDS.index(through) + 1
-    values = (epoch, arm, cons)
-    if any(value is not None for value in values[depth:]):
-        raise ValueError(f"label fields after {through!r} are absorbed by the caller")
     state = _absorb_int(source._root_state(), _purpose_word(purpose))
-    fields = tuple(zip(values, _PREFIX_FIELDS))[:depth]
+    fields = tuple(zip((epoch, arm, cons), _PREFIX_FIELDS))
     for i, (value, name) in enumerate(fields):
         if value is not None and not isinstance(value, (int, np.integer)):
             break

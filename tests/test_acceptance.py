@@ -135,7 +135,6 @@ def test_ac01_replicability_gate(reference_soft, reference_unconstrained):
             n_pairs=200,
             seed=20240801,
             horizon=10_000,
-            keep_pair_results=False,
         )
         rates[algo] = rep.rate
     elapsed = time.perf_counter() - started

@@ -221,6 +221,34 @@ def test_replicability_pairs_csv_bytes_pinned(tmp_path, algo, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "algo, digest",
+    [
+        ("debora-s", "72bb95147763e251eba42f9624e2bb3e90aafaa36f09ba336aec324088b3e5e5"),
+        ("ucb1", "7df983e1c7eefcaec1b398de8ea1d25ce08d31ec90b3a8af95db99fa101b736c"),
+    ],
+)
+def test_replicability_json_bytes_and_printed_paths_pinned(tmp_path, algo, digest):
+    import hashlib
+
+    out = tmp_path / "rep"
+    result = run_cli(
+        "replicability",
+        "--instance", str(INSTANCE_DIR / "reference_soft.json"),
+        "--algo", algo,
+        "--pairs", "4",
+        "--horizon", "300",
+        "--seed", "11",
+        "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    printed = [str(out / "replicability.json"), str(out / "pairs.csv")]
+    assert result.stdout.splitlines() == printed
+    data = (out / "replicability.json").read_bytes()
+    assert data.startswith(b'{\n  "action_mismatches": ') and data.endswith(b"\n}\n")
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ["run", "replicability"])
 @pytest.mark.parametrize("nested", [False, True])
 def test_out_naming_a_file_exits_one_before_any_trial(tmp_path, monkeypatch, capsys, command, nested):

@@ -131,7 +131,7 @@ def test_feedback_is_the_table_entry_of_the_played_arm(reference_soft):
 
     rounds = np.arange(600)
     rewards, costs = feedback_tables(reference_soft, RandomSource(27), 600)
-    for algo in ("debora", "debora-s", "debora-h"):
+    for algo in ("debora", "debora-s", "debora-h", "ucb1"):
         log = run_trial(reference_soft, algo, 26, 27, delta=0.05, rho=0.2, horizon=600)
         assert np.array_equal(log.rewards, rewards[rounds, log.actions])
         assert np.array_equal(log.costs, costs[:, rounds, log.actions])

@@ -14,7 +14,6 @@ from repmab.randomness import (
     UniformStream,
     _mix_int,
     _mix_u64,
-    absorb_words,
     field_words,
     finish_bits,
     finish_uniforms,
@@ -287,15 +286,17 @@ _MAX_FIELD = 2**63 - 1
          horizon=1, last_rnd=_MAX_FIELD)
 @example(seed=0, purpose="env-cost", epoch=None, k=1, m=2, horizon=4, last_rnd=4)
 def test_prefix_tables_match_derive_stream(seed, purpose, epoch, k, m, horizon, last_rnd):
-    """Per-trial word tables, absorbed onto one label prefix, give the
-    first uniform of every (arm, cons, rnd) label, up to rnd = T."""
+    """Full label-prefix grids over (cons, arm), finished with a table of
+    round words, give the first uniform of every (arm, cons, rnd) label,
+    up to rnd = T."""
     src = RandomSource(seed)
     rounds = np.array(range(last_rnd - horizon + 1, last_rnd + 1), dtype=np.uint64)
     cons = [None, *range(m)]
-    arm_words = field_words(np.arange(k), "arm")
-    cons_words = np.array([field_words(c, "cons") for c in cons])[:, None]
-    states = absorb_words(label_states(src, purpose, epoch=epoch, through="epoch"), arm_words)
-    states = absorb_words(states, cons_words)
+    arms = np.arange(k)
+    rows = [label_states(src, purpose, epoch=epoch, arm=arms)[None, :]]
+    if m:
+        rows.append(label_states(src, purpose, epoch=epoch, arm=arms, cons=np.arange(m)[:, None]))
+    states = np.concatenate(rows)
     grid = finish_uniforms(states[:, :, None], field_words(rounds, "rnd"))
     assert grid.shape == (m + 1, k, horizon)
     for row, c in enumerate(cons):
@@ -332,15 +333,3 @@ def test_table_entry_points_reject_out_of_range_fields():
         first_uniforms(src, "action", rnd=np.array([1, -3]))
     with pytest.raises(ValueError, match="purpose"):
         label_states(src, "")
-
-
-def test_label_states_stops_at_through():
-    src = RandomSource(8)
-    after_epoch = label_states(src, "offset-cost", epoch=5, through="epoch")
-    arm_word = field_words(np.array([3]), "arm")
-    cons_word = field_words(1, "cons")
-    state = absorb_words(absorb_words(after_epoch, arm_word), cons_word)
-    assert int(state[0]) == label_states(src, "offset-cost", epoch=5, arm=3, cons=1)
-    assert label_states(src, "action", through="purpose") != label_states(src, "action")
-    with pytest.raises(ValueError, match="after 'epoch'"):
-        label_states(src, "offset-cost", epoch=5, arm=3, through="epoch")
