@@ -9,7 +9,6 @@ from .environment import (
     load_instance,
     solve_oracle,
 )
-from .estimator import RepMeanParams, confidence_width, rep_mean
 from .harness import (
     ReplicabilityReport,
     TrialLog,
@@ -18,36 +17,22 @@ from .harness import (
     run_replicability_experiment,
     run_trial,
 )
-from .polytope import Infeasible, SimplexPolytopeLP, brute_force_optimum, solve
-from .randomness import RandomSource, StreamLabel, UniformStream, sample_categorical
 
 __all__ = [
     "ALGORITHM_NAMES",
     "ConfigError",
     "InstanceSpec",
-    "Infeasible",
     "OracleSolution",
-    "RandomSource",
-    "RepMeanParams",
     "ReplicabilityReport",
-    "SimplexPolytopeLP",
-    "StreamLabel",
     "TrialLog",
-    "UniformStream",
     "ValidationError",
     "aggregate_and_export",
-    "brute_force_optimum",
-    "confidence_width",
     "instance_from_dict",
     "load_instance",
     "make_policy",
-    "rep_mean",
     "run_batch",
     "run_replicability_experiment",
     "run_trial",
-    "sample_categorical",
-    "solve",
-    "solve_oracle",
 ]
 
 __version__ = "0.1.0"

@@ -49,8 +49,6 @@ __all__ = [
     "optimistic_strategy",
 ]
 
-ALGORITHM_NAMES = ("debora", "debora-s", "debora-h", "ucb1")
-
 # epochs whose grid offsets are hashed in one pass: about 100 KB at
 # K=50, m=3, where a table over the whole epoch budget would be MBs
 OFFSET_BLOCK = 64
@@ -382,6 +380,7 @@ _POLICIES = {
     "debora-h": DeboraH,
     "ucb1": Ucb1,
 }
+ALGORITHM_NAMES = tuple(_POLICIES)
 
 
 def make_policy(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import polytope
 from .polytope import Infeasible, SimplexPolytopeLP
-from .randomness import RandomSource, field_words, finish_bits, label_states, round_words
+from .randomness import RandomSource, finish_bits, label_states, round_words
 from .randomness import first_uniforms  # noqa: F401  (perfbench/tracer.py wraps it by name)
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "instant_regret",
     "instant_violation",
     "load_instance",
-    "sample_feedback",
     "solve_oracle",
 ]
 
@@ -74,17 +73,6 @@ class InstanceSpec:
     @property
     def m(self) -> int:
         return self.cost_means.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.k,
-            "m": self.m,
-            "reward_means": self.reward_means.tolist(),
-            "cost_means": self.cost_means.tolist(),
-            "thresholds": self.thresholds.tolist(),
-            "horizon": self.horizon,
-            "family": self.family,
-        }
 
 
 def _shape_problems(r, g, a, horizon, family) -> list[str]:
@@ -222,10 +210,9 @@ class OracleSolution:
     x_diamond: np.ndarray
     lam: np.ndarray
     lambda_min: float
-    gaps: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.x_star, self.x_diamond, self.lam, self.gaps):
+        for arr in (self.x_star, self.x_diamond, self.lam):
             arr.flags.writeable = False
 
 
@@ -249,14 +236,12 @@ def solve_oracle(spec: InstanceSpec) -> OracleSolution:
         # value: the sigma cap 1/(1+lambda_min) holds only for a margin
         # that no constraint's own margin falls below, even by rounding
         lambda_min = float(np.min(spec.thresholds - lam))
-    gaps = float(np.max(spec.reward_means)) - spec.reward_means
     return OracleSolution(
         x_star=x_star,
         opt_value=opt_value,
         x_diamond=x_diamond,
         lam=lam,
         lambda_min=lambda_min,
-        gaps=gaps,
     )
 
 
@@ -290,28 +275,14 @@ class FeedbackStreams:
         return bits < self.limits.take(arms, axis=1)
 
 
-def sample_feedback(
-    spec: InstanceSpec, arm: int, rnd: int, env: RandomSource
-) -> tuple[float, np.ndarray]:
-    """One round of realized feedback for pulling ``arm`` at round ``rnd``.
-
-    Each signal consumes the first uniform of its own (round, arm,
-    signal) labeled stream, so realizations form a fixed table over
-    (round, arm) pairs for a given environment seed.
-    """
-    if not (0 <= arm < spec.k):
-        raise ValueError(f"arm index {arm} outside [0, {spec.k})")
-    feedback = FeedbackStreams(spec, env).draw(arm, field_words(rnd, "rnd"))
-    return float(feedback[0]), feedback[1:].astype(np.float64)
-
-
 def feedback_tables(
     spec: InstanceSpec, env: RandomSource, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full realization tables: rewards (T, K) and costs (m, T, K).
 
-    Entry [t-1, a] equals what sample_feedback(spec, a, t, env) returns;
-    the tests read the trials' feedback against these tables.
+    Entry [t-1, a] is the feedback of pulling arm a at round t, as
+    ``FeedbackStreams.draw`` gives it; the tests read the trials'
+    feedback against these tables.
     """
     rounds = round_words(horizon)[:, None]
     feedback = FeedbackStreams(spec, env).draw(np.arange(spec.k)[None, :], rounds)

@@ -8,10 +8,10 @@ fall in the same cell, which is what makes the output replicable: the
 offset is pinned by the shared random source, and the cell width is
 large relative to the sampling noise.
 
-``confidence_width`` is the matching deviation radius: with n samples
-the returned estimate lies within this width of the true mean with high
-probability, and the width also serves as the exploration bonus in the
-epoch-based algorithms.
+``confidence_widths`` gives the matching deviation radii: with n
+samples the returned estimate lies within this width of the true mean
+with high probability, and the width also serves as the exploration
+bonus in the epoch-based algorithms.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from .randomness import UniformStream
 
 __all__ = [
     "RepMeanParams",
-    "confidence_width",
     "confidence_widths",
     "grid_cell_width",
     "rep_mean",
-    "sequential_mean",
     "snap_to_grid",
 ]
 
@@ -76,19 +74,6 @@ class RepMeanParams:
         return cls(delta_prime, rho_prime, stream.next_uniform() * cell)
 
 
-def sequential_mean(samples) -> float:
-    """Arithmetic mean accumulated strictly in input order.
-
-    np.cumsum performs a left-to-right running sum, so the final entry is
-    bit-identical to a sequential loop; no pairwise or parallel
-    reduction is involved.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("samples must be a nonempty 1-d collection")
-    return float(np.cumsum(arr)[-1]) / arr.size
-
-
 def snap_to_grid(mean, cell, offset):
     """Midpoint of the offset-grid cell containing ``mean``, capped at 1.
 
@@ -120,18 +105,11 @@ def confidence_widths(
 ) -> np.ndarray:
     """Deviation radii for estimates built from ``counts`` samples each.
 
-    Vectorized form; zero counts are clamped to one so never-sampled
-    arms keep a width of at least the single-sample radius.
+    Elementwise over ``counts``; zero counts are clamped to one so
+    never-sampled arms keep a width of at least the single-sample radius.
     """
     _check_probability_split(delta_prime, rho_prime)
     n = np.maximum(np.asarray(counts, dtype=np.float64), 1.0)
     return np.sqrt(
         2.0 * np.log(2.0 / delta_prime) / (n * (rho_prime - 2.0 * delta_prime) ** 2)
     )
-
-
-def confidence_width(n: int, delta_prime: float, rho_prime: float) -> float:
-    """Scalar form of ``confidence_widths`` (single count)."""
-    if n < 0:
-        raise ValueError("sample count must be nonnegative")
-    return float(confidence_widths(np.asarray([n]), delta_prime, rho_prime)[0])

@@ -59,6 +59,7 @@ from .environment import (
 from .randomness import (
     RandomSource,
     StreamLabel,
+    finish_bits,
     finish_uniforms,
     index_from_cdf,
     label_states,
@@ -166,13 +167,6 @@ class TrialLog:
     def strategy_matrix(self) -> np.ndarray:
         """Per-round strategies as a (T, K) matrix."""
         return self.per_round(self.strategies)
-
-    def clean_flags(self) -> np.ndarray:
-        """Per-round clean-event flag (True while estimates stay inside
-        their widths); the per-round baseline keeps no estimates."""
-        clean = np.ones(len(self.strategies), dtype=bool)
-        clean[: len(self.epochs)] = self.epochs.clean
-        return self.per_round(clean)
 
     def same_strategy_sequence(self, other: "TrialLog") -> bool:
         return bool(np.array_equal(self.strategy_matrix(), other.strategy_matrix()))
@@ -383,7 +377,7 @@ def _play_per_round(log, policy, spec, env) -> tuple[np.ndarray, np.ndarray]:
     """
     rnd_words = round_words(log.horizon)
     streams = FeedbackStreams(spec, env)
-    rewards = streams.draw(np.arange(spec.k)[None, :], rnd_words[:, None])[0]
+    rewards = finish_bits(streams.states[0], rnd_words[:, None]) < streams.limits[0]
     picks = []
     for t, row in enumerate(rewards.tolist(), start=1):
         a = policy.pick(t)

@@ -51,7 +51,6 @@ __all__ = [
     "first_uniforms",
     "label_states",
     "round_words",
-    "sample_categorical",
     "validate_strategy",
 ]
 
@@ -159,9 +158,9 @@ class UniformStream:
 
     __slots__ = ("_key", "_count")
 
-    def __init__(self, key: int, count: int = 0):
+    def __init__(self, key: int):
         self._key = key & _MASK64
-        self._count = count
+        self._count = 0
 
     def _raw(self, index: int) -> int:
         return _mix_int((self._key + (index + 1) * _GOLDEN) & _MASK64)
@@ -174,16 +173,6 @@ class UniformStream:
 
     def next_uniform(self) -> float:
         return (self.next_raw64() >> 11) / _TWO53
-
-    def next_block(self, n: int) -> np.ndarray:
-        """Next n uniforms as a float64 array."""
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        raw = _mix_u64(np.asarray(self._key, dtype=np.uint64) + idx * _U_GOLDEN)
-        self._count += n
-        return (raw >> _U11).astype(np.float64) / _TWO53
-
-    def copy(self) -> "UniformStream":
-        return UniformStream(self._key, self._count)
 
 
 @dataclass(frozen=True)
@@ -371,15 +360,3 @@ def index_from_cdf(cdf, u):
     last = int(rises[-1]) + 1 if rises.size else 0
     a = np.minimum(np.maximum(np.searchsorted(cdf, u, side="left"), first), last)
     return int(a) if np.ndim(u) == 0 else a
-
-
-def sample_categorical(stream: UniformStream, x: np.ndarray) -> int:
-    """Sample an arm index from strategy x with one uniform draw.
-
-    The cumulative sums are accumulated in fixed ascending arm order and
-    the draw is mapped through the inverse CDF, so equal (stream, x)
-    inputs always select the same arm.
-    """
-    x = validate_strategy(x)
-    cdf = np.cumsum(x)
-    return index_from_cdf(cdf, stream.next_uniform())

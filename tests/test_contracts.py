@@ -1,13 +1,17 @@
-"""Edge-of-contract checks: parameter splits, draw accounting, tiny
-instances, and cross-algorithm compatibility rules."""
+"""Edge-of-contract checks: parameter splits, tiny instances,
+cross-algorithm compatibility rules, and the names modules export."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repmab
 from repmab.algorithms import make_policy
 from repmab.environment import instance_from_dict, solve_oracle
 from repmab.harness import run_trial
-from repmab.randomness import RandomSource, StreamLabel, sample_categorical
+from repmab.randomness import RandomSource
 
 
 def test_parameter_split_values_exact():
@@ -43,14 +47,6 @@ def test_parameter_split_values_exact():
         # split by 2 * (m+1) * K^2 * ceil(log2 T) = 2 * 3 * 16 * 10
         assert pol2.state.delta_prime == 0.05 / 960
         assert pol2.state.rho_prime == 0.2 / 960
-
-
-def test_categorical_consumes_exactly_one_uniform():
-    stream = RandomSource(9).derive_stream(StreamLabel("action", rnd=1))
-    twin = RandomSource(9).derive_stream(StreamLabel("action", rnd=1))
-    sample_categorical(stream, np.array([0.5, 0.5]))
-    twin.next_uniform()
-    assert stream.next_uniform() == twin.next_uniform()
 
 
 def test_debora_on_constrained_instance_ignores_costs():
@@ -119,3 +115,16 @@ def test_two_round_horizon_closes_once():
     log = run_trial(spec, "debora", 3, 4, delta=0.05, rho=0.2)
     assert log.epoch_count == 1  # the first epoch always lasts one round
     assert log.epochs[1].t_start == 2
+
+
+_MODULES = ["repmab"] + [f"repmab.{m.name}" for m in pkgutil.iter_modules(repmab.__path__)]
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_exported_names_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if not hasattr(module, n)] == []
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(exported) <= set(namespace)

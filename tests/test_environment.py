@@ -1,7 +1,5 @@
 """Tests for instance validation, feedback sampling, and oracle programs."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +14,6 @@ from repmab.environment import (
     instant_regret,
     instant_violation,
     load_instance,
-    sample_feedback,
     solve_oracle,
 )
 from repmab.randomness import RandomSource, field_words, finish_uniforms
@@ -36,13 +33,10 @@ def make_spec(reward, costs, thresholds, horizon=100):
 
 def test_degenerate_bernoulli_always_one():
     spec = make_spec([1.0, 0.0], [], [])
-    env = RandomSource(4)
-    for t in range(1, 50):
-        reward, costs = sample_feedback(spec, 0, t, env)
-        assert reward == 1.0
-        assert costs.size == 0
-        reward0, _ = sample_feedback(spec, 1, t, env)
-        assert reward0 == 0.0
+    rewards, costs = feedback_tables(spec, RandomSource(4), 49)
+    assert (rewards[:, 0] == 1.0).all()
+    assert costs.size == 0
+    assert (rewards[:, 1] == 0.0).all()
 
 
 def test_monte_carlo_mean():
@@ -51,24 +45,12 @@ def test_monte_carlo_mean():
     assert abs(rewards[:, 0].mean() - 0.5) < 0.01
 
 
-def test_feedback_tables_match_pointwise():
-    spec = make_spec([0.6, 0.2], [[0.3, 0.9]], [0.5], horizon=20)
-    env = RandomSource(77)
-    rewards, costs = feedback_tables(spec, env, 20)
-    for t in range(1, 21):
-        for a in range(2):
-            r, c = sample_feedback(spec, a, t, env)
-            assert rewards[t - 1, a] == r
-            assert costs[0, t - 1, a] == c[0]
-
-
 def test_oracle_unconstrained_argmax():
     oracle = solve_oracle(make_spec([0.9, 0.5], [], []))
     assert np.array_equal(oracle.x_star, [1.0, 0.0])
     assert oracle.opt_value == pytest.approx(0.9)
     assert oracle.lam.size == 0
     assert oracle.lambda_min == np.inf
-    assert np.array_equal(oracle.gaps, [0.0, 0.4])
 
 
 def test_oracle_binding_constraint():
@@ -269,24 +251,9 @@ def test_load_instance_reports_json_line(tmp_path):
         load_instance(bad)
 
 
-def test_load_instance_roundtrip(tmp_path, reference_soft):
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(reference_soft.to_dict()))
-    again = load_instance(path)
-    assert np.array_equal(again.reward_means, reference_soft.reward_means)
-    assert np.array_equal(again.cost_means, reference_soft.cost_means)
-    assert again.horizon == reference_soft.horizon
-
-
 def test_spec_arrays_immutable(reference_soft):
     with pytest.raises(ValueError):
         reference_soft.reward_means[0] = 0.1
-
-
-def test_sample_feedback_rejects_bad_arm():
-    spec = make_spec([0.5, 0.5], [], [])
-    with pytest.raises(ValueError, match="arm index"):
-        sample_feedback(spec, 2, 1, RandomSource(0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,7 +267,7 @@ def test_sample_feedback_rejects_bad_arm():
 @example(k=1, m=0, horizon=1, env_seed=0, data=None)
 def test_pair_feedback_is_the_table_entry(k, m, horizon, env_seed, data):
     """Feedback drawn for arbitrary (arm, round) pairs equals the full
-    realization tables at [t-1, a], and so does sample_feedback."""
+    realization tables at [t-1, a]."""
     rng = np.random.default_rng(env_seed % 2**32 + k + 10 * m)
     costs = rng.uniform(size=(m, k))
     spec = make_spec(rng.uniform(size=k), costs, costs.max(axis=1, initial=0.0), horizon)
@@ -317,10 +284,6 @@ def test_pair_feedback_is_the_table_entry(k, m, horizon, env_seed, data):
     assert drawn.shape == (m + 1, arms.size)
     assert np.array_equal(drawn[0], rewards[rounds - 1, arms])
     assert np.array_equal(drawn[1:], cost_tab[:, rounds - 1, arms])
-    for a, t in zip(arms.tolist(), rounds.tolist()):
-        reward, c = sample_feedback(spec, a, t, env)
-        assert reward == rewards[t - 1, a]
-        assert np.array_equal(c, cost_tab[:, t - 1, a])
 
 
 def _near(kind, value):
@@ -395,9 +358,3 @@ def test_threshold_draw_at_the_uniform_itself():
         spec = make_spec(means[0], means[1:], means[1:].max(axis=1))
         drawn = FeedbackStreams(spec, env).draw(np.arange(k), word)
         assert (drawn == fires).all()
-
-
-def test_sample_feedback_rejects_bad_round():
-    spec = make_spec([0.5, 0.5], [], [])
-    with pytest.raises(ValueError, match="rnd"):
-        sample_feedback(spec, 0, -1, RandomSource(0))

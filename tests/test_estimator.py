@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from repmab.estimator import (
     RepMeanParams,
-    confidence_width,
     confidence_widths,
     grid_cell_width,
     rep_mean,
-    sequential_mean,
     snap_to_grid,
 )
 from repmab.randomness import RandomSource, StreamLabel, first_uniforms
@@ -83,15 +81,6 @@ def test_params_draw_uses_stream():
     assert params.offset == twin.next_uniform() * params.grid_cell
 
 
-def test_sequential_mean_matches_loop():
-    rng = np.random.default_rng(0)
-    samples = rng.random(1234)
-    total = 0.0
-    for v in samples.tolist():
-        total += v
-    assert sequential_mean(samples) == total / samples.size
-
-
 def test_samples_at_one_use_final_cap():
     # midpoint 0.15 + 4.5 * 0.2 = 1.05 exceeds one and gets capped
     params = RepMeanParams(0.12, 0.44, offset=0.15)
@@ -102,33 +91,26 @@ def test_samples_at_one_use_final_cap():
 
 
 def test_confidence_width_zero_and_one_sample_agree():
-    assert confidence_width(0, 0.05, 0.5) == confidence_width(1, 0.05, 0.5)
+    zero, one = confidence_widths([0, 1], 0.05, 0.5)
+    assert zero == one
 
 
 def test_confidence_width_quadruple_halves_exactly():
-    for n in (1, 3, 8, 117):
-        assert confidence_width(4 * n, 0.05, 0.5) * 2.0 == confidence_width(n, 0.05, 0.5)
+    n = np.array([1, 3, 8, 117])
+    halved = confidence_widths(4 * n, 0.05, 0.5) * 2.0
+    assert np.array_equal(halved, confidence_widths(n, 0.05, 0.5))
 
 
 def test_confidence_width_value():
     # sqrt(2 ln 40 / (100 * 0.16))
     expected = math.sqrt(2.0 * math.log(40.0) / (100 * 0.16))
-    assert confidence_width(100, 0.05, 0.5) == pytest.approx(expected, rel=1e-12)
+    assert float(confidence_widths(100, 0.05, 0.5)) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.67905, abs=1e-4)
 
 
 def test_confidence_width_validates():
     with pytest.raises(ValueError):
-        confidence_width(-1, 0.05, 0.5)
-    with pytest.raises(ValueError):
-        confidence_width(10, 0.3, 0.5)
-
-
-def test_confidence_widths_vector_matches_scalar():
-    counts = np.array([0, 1, 2, 7, 100])
-    vec = confidence_widths(counts, 0.01, 0.1)
-    for n, w in zip(counts, vec):
-        assert confidence_width(int(n), 0.01, 0.1) == w
+        confidence_widths(10, 0.3, 0.5)
 
 
 @given(

@@ -137,14 +137,6 @@ def test_feedback_is_the_table_entry_of_the_played_arm(reference_soft):
         assert np.array_equal(log.costs, costs[:, rounds, log.actions])
 
 
-def test_clean_flags_expand_per_round(reference_soft):
-    log = run_trial(reference_soft, "debora-s", 5, 6, delta=0.05, rho=0.2, horizon=400)
-    flags = log.clean_flags()
-    assert flags.shape == (400,)
-    for record in log.epochs:
-        assert flags[record.t_start - 1] == record.clean
-
-
 def test_epoch_spans_are_contiguous(reference_soft):
     log = run_trial(reference_soft, "debora-h", 5, 6, delta=0.05, rho=0.2, horizon=700)
     assert log.epoch_of_round[0] == 0

@@ -11,7 +11,6 @@ from scipy import stats
 from repmab.randomness import (
     RandomSource,
     StreamLabel,
-    UniformStream,
     _mix_int,
     _mix_u64,
     field_words,
@@ -21,19 +20,8 @@ from repmab.randomness import (
     index_from_cdf,
     label_states,
     round_words,
-    sample_categorical,
     validate_strategy,
 )
-
-
-class FixedStream:
-    """Test double feeding predetermined uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def next_uniform(self):
-        return self.values.pop(0)
 
 
 def test_same_label_same_draws():
@@ -50,17 +38,15 @@ def test_same_label_same_draws():
 
 def test_distinct_labels_differ():
     src = RandomSource(42)
-    a = src.derive_stream(StreamLabel("offset-reward", epoch=1, arm=0))
-    b = src.derive_stream(StreamLabel("offset-reward", epoch=1, arm=1))
-    draws_a = a.next_block(100)
-    draws_b = b.next_block(100)
+    rounds = np.arange(1, 101)
+    draws_a = first_uniforms(src, "offset-reward", epoch=1, arm=0, rnd=rounds)
+    draws_b = first_uniforms(src, "offset-reward", epoch=1, arm=1, rnd=rounds)
     assert np.any(draws_a != draws_b)
 
 
 @pytest.mark.parametrize("purpose", ["action", "env-reward", "offset-cost"])
 def test_draws_in_unit_interval(purpose):
-    stream = RandomSource(0).derive_stream(StreamLabel(purpose, rnd=3))
-    draws = stream.next_block(1000)
+    draws = first_uniforms(RandomSource(0), purpose, rnd=np.arange(1, 1001))
     assert np.all(draws >= 0.0) and np.all(draws < 1.0)
 
 
@@ -76,14 +62,6 @@ def test_derivation_order_independent():
     b_after = src2.derive_stream(label_b).next_uniform()
     assert a_after == a_first
     assert b_first == b_after
-
-
-def test_block_matches_scalar_draws():
-    stream = RandomSource(5).derive_stream(StreamLabel("action", rnd=9))
-    twin = RandomSource(5).derive_stream(StreamLabel("action", rnd=9))
-    block = stream.next_block(50)
-    scalars = np.array([twin.next_uniform() for _ in range(50)])
-    assert np.array_equal(block, scalars)
 
 
 def test_first_uniforms_matches_derive_stream():
@@ -164,9 +142,11 @@ def test_finish_bits_are_the_uniforms_numerators():
 
 
 def test_uniformity_chi_square():
-    # 10^4 draws per label, 20 equiprobable bins, p-value above 0.001
-    for label in [StreamLabel("action", rnd=1), StreamLabel("env-reward", arm=2, rnd=5)]:
-        draws = RandomSource(2024).derive_stream(label).next_block(10_000)
+    # first uniforms of 10^4 labels per prefix, 20 equiprobable bins,
+    # p-value above 0.001
+    rounds = np.arange(1, 10_001)
+    for purpose, arm in [("action", None), ("env-reward", 2)]:
+        draws = first_uniforms(RandomSource(2024), purpose, arm=arm, rnd=rounds)
         counts, _ = np.histogram(draws, bins=20, range=(0.0, 1.0))
         _, p = stats.chisquare(counts)
         assert p > 0.001
@@ -191,21 +171,21 @@ def test_categorical_degenerate_unit_mass():
     x = np.zeros(5)
     x[3] = 1.0
     for u in (0.01, 0.5, 0.999999):
-        assert sample_categorical(FixedStream([u]), x) == 3
+        assert index_from_cdf(np.cumsum(x), u) == 3
 
 
 def test_categorical_inverse_cdf_by_hand():
-    x = np.array([0.5, 0.5])
-    assert sample_categorical(FixedStream([0.25]), x) == 0
-    assert sample_categorical(FixedStream([0.75]), x) == 1
+    cdf = np.cumsum([0.5, 0.5])
+    assert index_from_cdf(cdf, 0.25) == 0
+    assert index_from_cdf(cdf, 0.75) == 1
     # boundary tie resolves to the lower arm
-    assert sample_categorical(FixedStream([0.5]), x) == 0
+    assert index_from_cdf(cdf, 0.5) == 0
 
 
 def test_categorical_never_picks_zero_mass():
     # u == 0.0 used to land on a leading zero-mass arm
-    assert sample_categorical(FixedStream([0.0]), np.array([0.0, 1.0])) == 1
-    assert sample_categorical(FixedStream([0.0]), np.array([0.0, 0.0, 0.25, 0.75])) == 2
+    assert index_from_cdf(np.cumsum([0.0, 1.0]), 0.0) == 1
+    assert index_from_cdf(np.cumsum([0.0, 0.0, 0.25, 0.75]), 0.0) == 2
     x = np.array([0.0, 0.5, 0.0, 0.5])
     u = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     assert index_from_cdf(np.cumsum(x), u).tolist() == [1, 1, 1, 3, 3]
@@ -213,19 +193,17 @@ def test_categorical_never_picks_zero_mass():
 
 def test_categorical_monte_carlo_frequencies():
     x = np.array([0.2, 0.3, 0.5])
-    stream = RandomSource(99).derive_stream(StreamLabel("action", rnd=1))
-    draws = stream.next_block(100_000)
-    cdf = np.cumsum(x)
-    arms = np.searchsorted(cdf, draws, side="left")
+    draws = first_uniforms(RandomSource(99), "action", rnd=np.arange(1, 100_001))
+    arms = index_from_cdf(np.cumsum(x), draws)
     freq = np.bincount(arms, minlength=3) / draws.size
     assert np.all(np.abs(freq - x) < 0.01)
 
 
 def test_categorical_rejects_bad_strategy():
     with pytest.raises(ValueError):
-        sample_categorical(FixedStream([0.5]), np.array([0.5, 0.4]))
+        validate_strategy(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
-        sample_categorical(FixedStream([0.5]), np.array([1.5, -0.5]))
+        validate_strategy(np.array([1.5, -0.5]))
 
 
 @pytest.mark.parametrize("position", range(3))
@@ -234,8 +212,6 @@ def test_strategy_with_nan_rejected(position):
     x[position] = np.nan
     with pytest.raises(ValueError, match="sum"):
         validate_strategy(x)
-    with pytest.raises(ValueError, match="sum"):
-        sample_categorical(FixedStream([0.5]), x)
 
 
 def test_validate_strategy_tolerance():
@@ -260,13 +236,6 @@ def test_golden_values_pinned():
         RandomSource(2**64 - 1).derive_stream(StreamLabel("pair-xi", rnd=7)).next_raw64()
         == 14386920630859927063
     )
-
-
-def test_stream_copy_is_independent():
-    stream = RandomSource(1).derive_stream(StreamLabel("action", rnd=1))
-    stream.next_uniform()
-    clone = stream.copy()
-    assert clone.next_uniform() == stream.next_uniform()
 
 
 _MAX_FIELD = 2**63 - 1
