@@ -175,20 +175,18 @@ class _EpochDoublingPolicy:
         self.targets = np.ones(k, dtype=np.int64)
         # feedback is 0/1, so these float sums are exact success counts
         self.sums = np.zeros((m + 1, k))
-        self._row_offsets = k * np.arange(m + 1)[:, None]
         self._offsets_base = -1  # first epoch of the block in _offsets
         self._offsets = None
         self.last_fallback = False
         self._select()
 
-    def observe_epoch(self, arms: np.ndarray, feedback: np.ndarray) -> None:
-        """Fold in one epoch of play: the pulled arms and the realized
-        (spec.m+1, L) feedback, reward in row 0 and costs below."""
-        k = self.spec.k
-        self.state.counts += np.bincount(arms, minlength=k)
-        cells = (arms + self._row_offsets).ravel()
-        weights = feedback[: self.m + 1].ravel()
-        self.sums += np.bincount(cells, weights, self.sums.size).reshape(self.sums.shape)
+    def observe_epoch(self, pulls: np.ndarray, successes: np.ndarray) -> None:
+        """Fold in one epoch's sufficient statistics: ``pulls``, (K,),
+        the pulls of each arm, and ``successes``, (m+1, K), the 1s each
+        tracked signal gave on each arm, reward in row 0 and costs below.
+        Nothing else of the epoch is read."""
+        self.state.counts += pulls
+        self.sums += successes
 
     # -- epoch boundary -----------------------------------------------
 

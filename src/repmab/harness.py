@@ -5,12 +5,16 @@ environment seed): algorithm randomness and environment randomness come
 from two separate labeled-stream roots, so paired trials can fix the
 former while redrawing the latter.  The replicable policies freeze
 their strategy between epoch closes, so their trials are resolved an
-epoch at a time with array operations: the epoch's actions from the
-labeled per-round action uniforms (in closed form when the strategy
-has one positive-mass arm, whichever policy chose it; the uniforms are
-drawn only once some strategy has two), its end from
-the first doubling target hit, and feedback only for the (round, arm)
-pairs played.  Estimates are refreshed once per epoch, and the label
+epoch at a time with array operations.  An epoch whose strategy has one
+positive-mass arm, whichever policy chose it, is resolved in closed
+form: its length from that arm's doubling target, its feedback from
+the arm's streams against the epoch's round words, its success counts
+by counting along the rounds.  Any other epoch takes its actions from
+the labeled per-round action uniforms (drawn only once some strategy
+has two positive-mass arms), its end from the first doubling target
+hit, and feedback only for the (round, arm) pairs played.  Either way
+the policy is handed only the epoch's pulls per arm and successes per
+signal and arm.  Estimates are refreshed once per epoch, and the label
 work that every epoch would repeat is tabulated: the feedback label
 prefixes once per trial, the round words once per horizon.  Only the
 per-round UCB1 baseline loops over rounds in Python, and only to pick
@@ -276,26 +280,35 @@ def _judge_epochs(epochs: np.recarray, spec, oracle) -> None:
 
 def _play_epochs(log, policy, spec, xi, env) -> tuple[np.ndarray, np.ndarray]:
     """Epoch policies: the strategy is frozen between closes, so each
-    epoch is resolved as a whole.  Its actions come from the per-round
-    labeled action uniforms, and feedback is drawn only for the (round,
-    arm) pairs actually played.  The strategy key is the epoch index,
-    which is also the epoch's row in the epoch table; the per-round keys
-    are expanded from the table's start rounds once the last epoch ends.
+    epoch is resolved as a whole and reported to the policy only through
+    its sufficient statistics, the pulls per arm and the successes per
+    tracked signal and arm.  The strategy key is the epoch index, which
+    is also the epoch's row in the epoch table; the per-round keys are
+    expanded from the table's start rounds once the last epoch ends.
 
     The round words come from the read-only table that every trial at
     this horizon shares, and serve both the action uniforms and the
-    feedback, whose label-prefix states are tabulated once per trial; an
-    epoch's feedback is then one gather plus two mixes over (m+1, L) and
-    an integer compare.  A strategy with one positive-mass arm reads no
-    action uniform, so the T uniforms are drawn on first read, at the
-    first epoch whose strategy has two positive-mass arms: never in a
-    ``debora`` trial, nor in one whose strategies all stay one-hot.
+    feedback, whose label-prefix states are tabulated once per trial.
+    A strategy with one positive-mass arm plays that arm whatever the
+    uniform, so its epoch is resolved in closed form: it lasts until the
+    arm reaches its target or the horizon, its feedback is the arm's
+    (m+1, 1) state and limit columns drawn against the epoch's round
+    words, and its success counts are nonzero counts along the rounds.
+    Otherwise the actions come from the per-round labeled action
+    uniforms, feedback is drawn for the (round, arm) pairs played, and
+    the statistics are two ``bincount``s.  The T action uniforms are
+    drawn on first read, at the first epoch whose strategy has two
+    positive-mass arms: never in a ``debora`` trial, nor in one whose
+    strategies all stay one-hot.
     """
     horizon = log.horizon
+    k = spec.k
+    rows = policy.m + 1  # the signals the policy tracks: reward, then its costs
+    row_offsets = k * np.arange(rows)[:, None]
     rnd_words = round_words(horizon)
     action_u = None
     streams = FeedbackStreams(spec, env)
-    table = _epoch_table(epoch_budget(spec.k, horizon) + 1, spec.k, policy.m)
+    table = _epoch_table(epoch_budget(k, horizon) + 1, k, policy.m)
     st = policy.state
     lo = 0  # rounds lo+1..hi form the current epoch
     while True:
@@ -305,15 +318,29 @@ def _play_epochs(log, policy, spec, xi, env) -> tuple[np.ndarray, np.ndarray]:
             policy.last_fallback, True, True,
         )
         need = policy.targets - st.counts
-        if action_u is None and np.count_nonzero(x) > 1:
-            action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
-        arms = _epoch_actions(x, need, action_u, lo, horizon)
-        hi = lo + arms.size
-        log.actions[lo:hi] = arms
-        feedback = streams.draw(arms, rnd_words[lo:hi])
+        support = np.flatnonzero(x)
+        if support.size == 1:
+            arm = support[0]
+            hi = lo + min(int(need[arm]), horizon - lo)
+            log.actions[lo:hi] = arm
+            feedback = streams.draw(support, rnd_words[lo:hi])
+            pulls = np.zeros(k, dtype=np.int64)
+            pulls[arm] = hi - lo
+            successes = np.zeros((rows, k))
+            successes[:, arm] = np.count_nonzero(feedback[:rows], axis=1)
+        else:
+            if action_u is None:
+                action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
+            arms = _epoch_actions(x, support, need, action_u, lo, horizon)
+            hi = lo + arms.size
+            log.actions[lo:hi] = arms
+            feedback = streams.draw(arms, rnd_words[lo:hi])
+            pulls = np.bincount(arms, minlength=k)
+            cells = (arms + row_offsets).ravel()
+            successes = np.bincount(cells, feedback[:rows].ravel(), rows * k).reshape(rows, k)
         log.rewards[lo:hi] = feedback[0]
         log.costs[:, lo:hi] = feedback[1:]
-        policy.observe_epoch(arms, feedback)
+        policy.observe_epoch(pulls, successes)
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
             epochs = log.epochs = table[: st.h + 1].copy()
@@ -323,26 +350,26 @@ def _play_epochs(log, policy, spec, xi, env) -> tuple[np.ndarray, np.ndarray]:
         lo = hi
 
 
-_MIN_CHUNK = 256
+# the first chunk of action uniforms a multi-arm epoch maps: on K=50
+# trials whose epochs last a few rounds, a start of 256 maps about 49
+# uniforms per round played and 64 about 13, while on K=5 trials with
+# epochs of thousands of rounds the two run equally fast
+_MIN_CHUNK = 64
 
 
-def _epoch_actions(x, need, action_u, lo, horizon) -> np.ndarray:
-    """Arms pulled in the epoch that starts at round lo+1.
+def _epoch_actions(x, support, need, action_u, lo, horizon) -> np.ndarray:
+    """Arms pulled in the epoch that starts at round lo+1 under a
+    strategy ``x`` whose positive-mass arms, ``support``, number two or
+    more.
 
     The epoch lasts until the first round at which some arm's count
     reaches its doubling target (``need`` more pulls), or until the
-    horizon.  A strategy with one positive-mass arm plays that arm
-    whatever the uniform, so its epoch is known in closed form.
-    Otherwise zero-mass arms are never drawn, so the shortest remaining
+    horizon.  Zero-mass arms are never drawn, so the shortest remaining
     distance to a target over the arms with positive mass bounds the
     epoch from below; the uniforms are mapped in chunks that start
     there and double until a target is hit.
     """
     left = horizon - lo
-    support = np.flatnonzero(x)
-    if support.size == 1:
-        arm = support[0]
-        return np.full(min(int(need[arm]), left), arm, dtype=np.int32)
     cdf = np.cumsum(x)
     n = min(max(int(need[support].min()), _MIN_CHUNK), left)
     while True:

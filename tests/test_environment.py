@@ -305,7 +305,9 @@ def _near(kind, value):
 def test_threshold_draw_equals_uniform_compare(k, m, horizon, env_seed, data):
     """``FeedbackStreams.draw``, an integer compare of the 53-bit word
     against ceil(μ · 2^53), realizes exactly ``u < μ`` for the signal's
-    uniform u, also at means on or next to j / 2^53 and to u itself."""
+    uniform u, also at means on or next to j / 2^53 and to u itself; an
+    arm array of shape (1,) drawn against (T,) round words equals the
+    draw of that arm repeated T times."""
     env = RandomSource(env_seed)
     words = field_words(np.arange(1, horizon + 1), "rnd")
     zeros = np.zeros((m, k))
@@ -343,6 +345,9 @@ def test_threshold_draw_equals_uniform_compare(k, m, horizon, env_seed, data):
     grid = streams.draw(np.arange(k)[None, :], words[:, None])
     assert grid.shape == (m + 1, horizon, k)
     assert np.array_equal(grid, old(np.arange(k)[None, :], words[:, None]))
+    # one arm's (m+1, 1) columns against a run of round words, as a
+    # one-arm epoch draws them
+    assert np.array_equal(streams.draw(np.array([arm]), words), old(np.full(horizon, arm), words))
 
 
 def test_threshold_draw_at_the_uniform_itself():

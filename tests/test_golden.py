@@ -19,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repmab.algorithms import ConfigError, epoch_budget
+from repmab import harness
+from repmab.algorithms import ConfigError, epoch_budget, make_policy
 from repmab.cli import main as cli_main
 from repmab.environment import (
     SAFETY_TOL,
@@ -251,8 +252,16 @@ def test_trial_invariants_on_random_instances(spec, seeds):
     oracle = solve_oracle(spec)
     for algo in ("debora", "debora-s", "debora-h", "ucb1"):
         kwargs = dict(delta=0.05, rho=0.2, oracle=oracle)
+        policies = []
+
+        def capture(*args):
+            policies.append(make_policy(*args))
+            return policies[-1]
+
         try:
-            log = run_trial(spec, algo, *seeds, **kwargs)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(harness, "make_policy", capture)
+                log = run_trial(spec, algo, *seeds, **kwargs)
         except ConfigError:
             assert algo == "debora-h" and not oracle.lambda_min > 0.0
             continue
@@ -287,3 +296,9 @@ def test_trial_invariants_on_random_instances(spec, seeds):
         if algo == "debora-h" and spec.m:
             cap = 1.0 / (1.0 + oracle.lambda_min)
             assert all(0.0 <= rec.sigma <= cap for rec in log.epochs)
+        # the epoch folds, one-arm and multi-arm, add up to the whole log
+        (policy,) = policies
+        played = log.actions == np.arange(spec.k)[:, None]
+        signals = np.vstack([log.rewards, log.costs[: policy.m]])
+        assert np.array_equal(policy.state.counts, played.sum(axis=1))
+        assert np.array_equal(policy.sums, [[row[arm].sum() for arm in played] for row in signals])
