@@ -101,11 +101,16 @@ def optimistic_strategy(
     the polytope can be empty; the fallback then plays the strategy with
     the least worst-case excess instead of crashing the run.
     """
+    return _solve_optimistic(SimplexPolytopeLP(ucb, pessimistic_costs, thresholds))
+
+
+def _solve_optimistic(lp: SimplexPolytopeLP) -> tuple[np.ndarray, bool]:
+    """``optimistic_strategy`` of an already validated program."""
     try:
-        x, _ = polytope.solve(SimplexPolytopeLP(ucb, pessimistic_costs, thresholds))
+        x, _ = polytope.solve(lp)
         return x, False
     except Infeasible:
-        x, _ = polytope.least_violation_strategy(pessimistic_costs, thresholds)
+        x, _ = polytope.least_violation_strategy(lp.constraint_matrix, lp.bounds)
         return x, True
 
 
@@ -159,6 +164,7 @@ class _EpochDoublingPolicy:
         zeros = np.zeros(k, dtype=np.int64)
         self.spec = spec
         self.horizon = horizon
+        self.budget = epoch_budget(k, horizon)
         self.xi = xi
         self.oracle = oracle
         self.m = m
@@ -197,11 +203,8 @@ class _EpochDoublingPolicy:
         if (counts > self.targets).any():
             raise RuntimeError("doubling discipline violated inside an epoch")
         st.h += 1
-        if st.h > epoch_budget(self.spec.k, self.horizon):
-            raise RuntimeError(
-                f"epoch index {st.h} exceeded budget "
-                f"{epoch_budget(self.spec.k, self.horizon)}"
-            )
+        if st.h > self.budget:
+            raise RuntimeError(f"epoch index {st.h} exceeded budget {self.budget}")
         st.zeta = confidence_widths(counts, st.delta_prime, st.rho_prime)
         self._update_estimates()
         self._select()
@@ -214,6 +217,8 @@ class _EpochDoublingPolicy:
         labeled stream, scaled by the arm's cell width.
         """
         st = self.state
+        if arms.size == st.counts.size:
+            arms = slice(None)  # every arm: views instead of gathered copies
         cell = st.zeta[arms]
         offset = self._offset_uniforms(arms) * cell
         est = snap_to_grid(self.sums[:, arms] / st.counts[arms], cell, offset)
@@ -270,7 +275,7 @@ class Debora(_EpochDoublingPolicy):
 
     def _update_estimates(self) -> None:
         # only the arm just played has new samples
-        self._refresh(np.flatnonzero(self.state.x_current))
+        self._refresh(self.state.x_current.nonzero()[0])
 
     def _select(self) -> None:
         st = self.state
@@ -289,19 +294,25 @@ class DeboraS(_EpochDoublingPolicy):
 
     def __init__(self, spec, horizon, delta, rho, xi, oracle):
         denominator = 2 * (spec.m + 1) * spec.k * spec.k * max(1, ceil_log2(horizon))
+        # one program per trial, validated once: each close rewrites its
+        # objective (the optimistic rewards) and constraint rows (the
+        # pessimistic costs) in place; the estimates are finite by
+        # construction
+        self._lp = SimplexPolytopeLP(np.zeros(spec.k), np.zeros((spec.m, spec.k)), spec.thresholds)
         super().__init__(
             spec, horizon, delta, rho, xi, oracle, denominator, track_costs=True
         )
 
     def _update_estimates(self) -> None:
         # never-played arms keep the symmetric prior
-        self._refresh(np.flatnonzero(self.state.counts))
+        self._refresh(self.state.counts.nonzero()[0])
 
     def _select(self) -> None:
         st = self.state
-        ucb = st.r_hat + st.zeta
-        pessimistic = st.g_hat - st.zeta[None, :]
-        x, fallback = optimistic_strategy(ucb, pessimistic, self.spec.thresholds)
+        lp = self._lp
+        np.add(st.r_hat, st.zeta, out=lp.objective)
+        np.subtract(st.g_hat, st.zeta, out=lp.constraint_matrix)
+        x, fallback = _solve_optimistic(lp)
         self.last_fallback = fallback
         st.x_current = x
 

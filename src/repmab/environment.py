@@ -86,15 +86,16 @@ def _shape_problems(r, g, a, horizon, family) -> list[str]:
     if a.shape != (g.shape[0],):
         out.append(f"thresholds must have one entry per constraint, got {a.shape}")
         return out
-    for idx, value in enumerate(r):
+    # tolist() gives python floats, which print as 1.5 and nan
+    for idx, value in enumerate(r.tolist()):
         if not (0.0 <= value <= 1.0):
             out.append(f"reward_means[{idx}] = {value!r} outside [0, 1]")
-    for i in range(g.shape[0]):
-        for idx, value in enumerate(g[i]):
+    for i, (row, bound) in enumerate(zip(g.tolist(), a.tolist())):
+        for idx, value in enumerate(row):
             if not (0.0 <= value <= 1.0):
                 out.append(f"cost_means[{i}][{idx}] = {value!r} outside [0, 1]")
-        if not (0.0 <= a[i] <= 1.0):
-            out.append(f"thresholds[{i}] = {a[i]!r} outside [0, 1]")
+        if not (0.0 <= bound <= 1.0):
+            out.append(f"thresholds[{i}] = {bound!r} outside [0, 1]")
     if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
         out.append(f"horizon must be a positive integer, got {horizon!r}")
     if family != "bernoulli":
@@ -268,11 +269,17 @@ class FeedbackStreams:
         means = np.vstack([spec.reward_means, spec.cost_means])
         self.limits = np.ceil(np.ldexp(means, 53)).astype(np.uint64)
 
-    def draw(self, arms, rnd_words) -> np.ndarray:
-        """Boolean (m+1, ...) feedback of pulling ``arms`` at the rounds
-        whose ``field_words`` are ``rnd_words`` (the two broadcast)."""
+    def draw(self, arms, rnd_words, out=None) -> np.ndarray:
+        """Feedback (m+1, ...) of pulling ``arms`` at the rounds whose
+        ``field_words`` are ``rnd_words`` (the two broadcast).
+
+        Boolean, or, given ``out``, written into it and returned: a
+        trial passes the epoch's columns of its float (m+1, T) feedback
+        table, which then holds each signal as 0.0 or 1.0 with no
+        boolean temporary in between.
+        """
         bits = finish_bits(self.states.take(arms, axis=1), rnd_words)
-        return bits < self.limits.take(arms, axis=1)
+        return np.less(bits, self.limits.take(arms, axis=1), out=out)
 
 
 def feedback_tables(

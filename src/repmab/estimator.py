@@ -16,6 +16,7 @@ bonus in the epoch-based algorithms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,16 +101,24 @@ def rep_mean(samples, params: RepMeanParams) -> float:
     return snap_to_grid(mean, params.grid_cell, params.offset)
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _width_constants(delta_prime: float, rho_prime: float) -> tuple:
+    """The factors of ``confidence_widths`` that depend on the split
+    alone, 2*log(2/delta') and (rho' - 2*delta')**2, once per split.
+    A rejected split raises and is never cached."""
+    _check_probability_split(delta_prime, rho_prime)
+    return 2.0 * np.log(2.0 / delta_prime), (rho_prime - 2.0 * delta_prime) ** 2
+
+
 def confidence_widths(
     counts, delta_prime: float, rho_prime: float
 ) -> np.ndarray:
-    """Deviation radii for estimates built from ``counts`` samples each.
+    """Deviation radii for estimates built from ``counts`` samples each:
+    sqrt(2*log(2/delta') / (n * (rho' - 2*delta')**2)).
 
     Elementwise over ``counts``; zero counts are clamped to one so
     never-sampled arms keep a width of at least the single-sample radius.
     """
-    _check_probability_split(delta_prime, rho_prime)
+    numerator, spread = _width_constants(delta_prime, rho_prime)
     n = np.maximum(np.asarray(counts, dtype=np.float64), 1.0)
-    return np.sqrt(
-        2.0 * np.log(2.0 / delta_prime) / (n * (rho_prime - 2.0 * delta_prime) ** 2)
-    )
+    return np.sqrt(numerator / (n * spread))

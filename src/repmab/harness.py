@@ -9,7 +9,7 @@ epoch at a time with array operations.  An epoch whose strategy has one
 positive-mass arm, whichever policy chose it, is resolved in closed
 form: its length from that arm's doubling target, its feedback from
 the arm's streams against the epoch's round words, its success counts
-by counting along the rounds.  Any other epoch takes its actions from
+by summing along the rounds.  Any other epoch takes its actions from
 the labeled per-round action uniforms (drawn only once some strategy
 has two positive-mass arms), its end from the first doubling target
 hit, and feedback only for the (round, arm) pairs played.  Either way
@@ -20,6 +20,11 @@ prefixes once per trial, the round words once per horizon.  Only the
 per-round UCB1 baseline loops over rounds in Python, and only to pick
 and observe; its feedback comes from the same labeled streams.
 
+A trial's realized feedback is one float (m+1, T) table, reward in row
+0 and the cost of constraint i in row i+1, whose rows are the log's
+``rewards`` and ``costs``.  Every draw writes its signals as 0.0/1.0
+straight into the columns of the rounds it covers.
+
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
 widths, estimates, sigma, fallback, and the clean and x*-containment
@@ -29,9 +34,11 @@ once from the table's start rounds.
 
 Every trial ends in one gather: play yields a strategy key per round
 (the epoch index, or the arm for UCB1, whose strategy is the one-hot
-of its pick) and a table of strategies per key (the epoch table's
-``x`` column).  Expected regret, violation and safety are evaluated and
-kept once per key; per-round arrays are expanded from them on demand.
+of its pick), a table of strategies per key (the epoch table's ``x``
+column) and the rounds each key played.  Expected regret, violation
+and safety are evaluated and kept once per key, the unsafe rounds
+counted from the rounds per key; per-round arrays are expanded from
+them on demand.
 
 Every output file goes through one of two writers: ``_write_csv`` for
 ``rounds.csv``, ``regret_curve.csv`` and ``pairs.csv``, ``_write_json``
@@ -56,8 +63,6 @@ from .environment import (
     FeedbackStreams,
     InstanceSpec,
     OracleSolution,
-    instant_regret,
-    instant_violation,
     solve_oracle,
 )
 from .randomness import (
@@ -217,6 +222,8 @@ def run_trial(
     xi = RandomSource(xi_seed)
     env = RandomSource(env_seed)
     policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
+    # one row per signal, reward first; the draws write straight into it
+    feedback = np.empty((spec.m + 1, horizon))
     log = TrialLog(
         algo=algo,
         horizon=horizon,
@@ -225,27 +232,35 @@ def run_trial(
         xi_seed=xi_seed,
         env_seed=env_seed,
         actions=np.empty(horizon, dtype=np.int32),
-        rewards=np.empty(horizon),
-        costs=np.empty((spec.m, horizon)),
+        rewards=feedback[0],
+        costs=feedback[1:],
     )
     if isinstance(policy, Ucb1):
-        played = _play_per_round(log, policy, spec, env)
+        played = _play_per_round(log, policy, spec, env, feedback)
     else:
-        played = _play_epochs(log, policy, spec, xi, env)
+        played = _play_epochs(log, policy, spec, xi, env, feedback)
     _gather(log, spec, oracle, *played)
     return log
 
 
-def _gather(log, spec, oracle, keys: np.ndarray, strategies: np.ndarray) -> None:
+def _gather(
+    log, spec, oracle, keys: np.ndarray, strategies: np.ndarray, key_rounds: np.ndarray
+) -> None:
     """Fill the per-key regret, violation and unsafe tables of ``log``
     (each row of ``strategies`` is evaluated once; ``keys`` names the
-    row that each round played), judge its epoch table and total up."""
+    row that each round played, ``key_rounds`` counts the rounds of
+    each key), judge its epoch table and total up.
+
+    The dot products stay one per key, as ``instant_regret`` and
+    ``instant_violation`` take them: one product over all keys at once
+    may round differently."""
     log.keys = keys
     log.strategies = strategies
-    log.regret = np.array([instant_regret(spec, oracle, x) for x in strategies])
-    log.violation = np.stack([instant_violation(spec, x) for x in strategies], axis=1)
-    tol = spec.thresholds + SAFETY_TOL
-    log.unsafe = np.array([not (spec.cost_means @ x <= tol).all() for x in strategies])
+    log.regret = oracle.opt_value - np.array([spec.reward_means @ x for x in strategies])
+    expected_costs = np.stack([spec.cost_means @ x for x in strategies], axis=1)
+    thresholds = spec.thresholds[:, None]
+    log.violation = np.maximum(expected_costs - thresholds, 0.0)
+    log.unsafe = ~(expected_costs <= thresholds + SAFETY_TOL).all(axis=0)
     epochs = log.epochs
     _judge_epochs(epochs, spec, oracle)
     log.regret_total = float(np.sum(log.inst_regret))
@@ -257,7 +272,7 @@ def _gather(log, spec, oracle, keys: np.ndarray, strategies: np.ndarray) -> None
     log.fallback_count = int(np.count_nonzero(epochs.fallback))
     log.clean_all = bool(epochs.clean.all())
     log.containment_ok = bool(epochs.contains_x_star.all())
-    log.unsafe_rounds = int(np.count_nonzero(log.per_round(log.unsafe)))
+    log.unsafe_rounds = int(key_rounds[log.unsafe].sum())
     log.any_unsafe = log.unsafe_rounds > 0
 
 
@@ -278,7 +293,7 @@ def _judge_epochs(epochs: np.recarray, spec, oracle) -> None:
     epochs.contains_x_star = (pessimistic <= spec.thresholds[:m] + SAFETY_TOL).all(axis=1)
 
 
-def _play_epochs(log, policy, spec, xi, env) -> tuple[np.ndarray, np.ndarray]:
+def _play_epochs(log, policy, spec, xi, env, feedback) -> tuple[np.ndarray, ...]:
     """Epoch policies: the strategy is frozen between closes, so each
     epoch is resolved as a whole and reported to the policy only through
     its sufficient statistics, the pulls per arm and the successes per
@@ -289,17 +304,20 @@ def _play_epochs(log, policy, spec, xi, env) -> tuple[np.ndarray, np.ndarray]:
     The round words come from the read-only table that every trial at
     this horizon shares, and serve both the action uniforms and the
     feedback, whose label-prefix states are tabulated once per trial.
-    A strategy with one positive-mass arm plays that arm whatever the
-    uniform, so its epoch is resolved in closed form: it lasts until the
-    arm reaches its target or the horizon, its feedback is the arm's
-    (m+1, 1) state and limit columns drawn against the epoch's round
-    words, and its success counts are nonzero counts along the rounds.
-    Otherwise the actions come from the per-round labeled action
-    uniforms, feedback is drawn for the (round, arm) pairs played, and
-    the statistics are two ``bincount``s.  The T action uniforms are
-    drawn on first read, at the first epoch whose strategy has two
-    positive-mass arms: never in a ``debora`` trial, nor in one whose
-    strategies all stay one-hot.
+    Every epoch's feedback is drawn straight into its columns of the
+    trial's (m+1, T) ``feedback`` table.  A strategy with one
+    positive-mass arm plays that arm whatever the uniform, so its epoch
+    is resolved in closed form: it lasts until the arm reaches its
+    target or the horizon, its feedback is the arm's (m+1, 1) state and
+    limit columns drawn against the epoch's round words, and its success
+    counts are row sums of those columns.  Otherwise the actions come
+    from the per-round labeled action uniforms, feedback is drawn for
+    the (round, arm) pairs played, and the statistics are two
+    ``bincount``s.  The T action uniforms are drawn on first read, at
+    the first epoch whose strategy has two positive-mass arms: never in
+    a ``debora`` trial, nor in one whose strategies all stay one-hot.
+    Returns the per-round keys, the strategy per key and the rounds per
+    key.
     """
     horizon = log.horizon
     k = spec.k
@@ -318,34 +336,33 @@ def _play_epochs(log, policy, spec, xi, env) -> tuple[np.ndarray, np.ndarray]:
             policy.last_fallback, True, True,
         )
         need = policy.targets - st.counts
-        support = np.flatnonzero(x)
+        support = x.nonzero()[0]
         if support.size == 1:
             arm = support[0]
             hi = lo + min(int(need[arm]), horizon - lo)
             log.actions[lo:hi] = arm
-            feedback = streams.draw(support, rnd_words[lo:hi])
+            drawn = streams.draw(support, rnd_words[lo:hi], out=feedback[:, lo:hi])
             pulls = np.zeros(k, dtype=np.int64)
             pulls[arm] = hi - lo
             successes = np.zeros((rows, k))
-            successes[:, arm] = np.count_nonzero(feedback[:rows], axis=1)
+            # sums of 0.0/1.0 below 2^53 are exact counts
+            successes[:, arm] = drawn[:rows].sum(axis=1)
         else:
             if action_u is None:
                 action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
             arms = _epoch_actions(x, support, need, action_u, lo, horizon)
             hi = lo + arms.size
             log.actions[lo:hi] = arms
-            feedback = streams.draw(arms, rnd_words[lo:hi])
+            drawn = streams.draw(arms, rnd_words[lo:hi], out=feedback[:, lo:hi])
             pulls = np.bincount(arms, minlength=k)
             cells = (arms + row_offsets).ravel()
-            successes = np.bincount(cells, feedback[:rows].ravel(), rows * k).reshape(rows, k)
-        log.rewards[lo:hi] = feedback[0]
-        log.costs[:, lo:hi] = feedback[1:]
+            successes = np.bincount(cells, drawn[:rows].ravel(), rows * k).reshape(rows, k)
         policy.observe_epoch(pulls, successes)
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
             epochs = log.epochs = table[: st.h + 1].copy()
             lengths = np.diff(epochs.t_start, append=horizon + 1)
-            return np.arange(st.h + 1, dtype=np.int32).repeat(lengths), epochs.x
+            return np.arange(st.h + 1, dtype=np.int32).repeat(lengths), epochs.x, lengths
         policy.close_epoch()
         lo = hi
 
@@ -370,7 +387,7 @@ def _epoch_actions(x, support, need, action_u, lo, horizon) -> np.ndarray:
     there and double until a target is hit.
     """
     left = horizon - lo
-    cdf = np.cumsum(x)
+    cdf = x.cumsum()
     n = min(max(int(need[support].min()), _MIN_CHUNK), left)
     while True:
         arms = index_from_cdf(cdf, action_u[lo : lo + n])
@@ -389,18 +406,20 @@ def _first_target_hit(arms: np.ndarray, need: np.ndarray) -> int:
     reached = per_arm >= need
     if not reached.any():
         return -1
-    order = np.argsort(arms, kind="stable")
-    nth = np.cumsum(per_arm) - per_arm + need - 1
+    order = arms.argsort(kind="stable")
+    nth = per_arm.cumsum() - per_arm + need - 1
     return int(order[nth[reached]].min())
 
 
-def _play_per_round(log, policy, spec, env) -> tuple[np.ndarray, np.ndarray]:
+def _play_per_round(log, policy, spec, env, feedback) -> tuple[np.ndarray, ...]:
     """Per-round baseline: each pick depends on the rewards seen so far.
     Its strategy is the one-hot of the pick, so the key is the arm.
 
     The picks read a boolean (T, K) reward table (a True reward adds
     exactly 1.0); the played arms' feedback is then drawn as the epoch
-    engine draws it, for the (round, arm) pairs played.
+    engine draws it, for the (round, arm) pairs played, straight into
+    the trial's ``feedback`` table.  Returns the per-round keys, the
+    strategy per key and the rounds per key.
     """
     rnd_words = round_words(log.horizon)
     streams = FeedbackStreams(spec, env)
@@ -411,11 +430,9 @@ def _play_per_round(log, policy, spec, env) -> tuple[np.ndarray, np.ndarray]:
         policy.observe(a, row[a])
         picks.append(a)
     log.actions[:] = picks
-    feedback = streams.draw(log.actions, rnd_words)
-    log.rewards[:] = feedback[0]
-    log.costs[:] = feedback[1:]
+    streams.draw(log.actions, rnd_words, out=feedback)
     log.epochs = _epoch_table(0, spec.k, spec.m)
-    return log.actions, np.eye(spec.k)
+    return log.actions, np.eye(spec.k), np.bincount(log.actions, minlength=spec.k)
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:

@@ -338,7 +338,7 @@ def validate_strategy(x: np.ndarray) -> np.ndarray:
         raise ValueError("strategy must be a nonempty 1-d vector")
     if (x < 0.0).any():
         raise ValueError("strategy has negative entries")
-    total = float(np.cumsum(x)[-1])
+    total = float(x.cumsum()[-1])
     if not abs(total - 1.0) <= SIMPLEX_TOL:  # NaN fails this too
         raise ValueError(f"strategy entries sum to {total!r}, not 1")
     return x
@@ -347,16 +347,18 @@ def validate_strategy(x: np.ndarray) -> np.ndarray:
 def index_from_cdf(cdf, u):
     """Inverse-CDF lookup of one uniform or an array of them.
 
-    cdf holds cumulative sums in ascending arm order.  The draw goes to
-    the lowest arm whose cumulative sum reaches u and that carries
-    positive mass: boundary ties resolve to the lower arm, and u == 0
-    skips leading zero-mass arms.  If rounding left the final cumulative
-    sum short of 1 and u lands in the gap, the draw goes to the last arm
-    carrying positive mass.  Returns an int for scalar u, else an array.
+    cdf holds cumulative sums of nonnegative masses in ascending arm
+    order.  The draw goes to the lowest arm whose cumulative sum reaches
+    u and that carries positive mass: boundary ties resolve to the lower
+    arm, and u == 0 skips leading zero-mass arms.  If rounding left the
+    final cumulative sum short of 1 and u lands in the gap, the draw
+    goes to the last arm carrying positive mass.  Returns an int for
+    scalar u, else an array.
     """
     cdf = np.asarray(cdf, dtype=np.float64)
-    first = np.searchsorted(cdf, 0.0, side="right")
-    rises = np.flatnonzero(cdf[1:] != cdf[:-1])
-    last = int(rises[-1]) + 1 if rises.size else 0
-    a = np.minimum(np.maximum(np.searchsorted(cdf, u, side="left"), first), last)
+    first = cdf.searchsorted(0.0, side="right")
+    # the sums never fall, so the last rise is where they first reach
+    # their final value
+    last = cdf.searchsorted(cdf[-1], side="left")
+    a = np.minimum(np.maximum(cdf.searchsorted(u, side="left"), first), last)
     return int(a) if np.ndim(u) == 0 else a

@@ -119,10 +119,16 @@ def test_instant_regret_and_violation():
 
 
 def test_instance_rejects_out_of_range():
-    with pytest.raises(ValidationError, match=r"reward_means\[1\]"):
+    """Out-of-range means and thresholds are reported as the numbers
+    they are (1.5, nan), never as numpy reprs such as np.float64(1.5)."""
+    with pytest.raises(ValidationError) as info:
         make_spec([0.5, 1.5], [], [])
-    with pytest.raises(ValidationError, match=r"thresholds\[0\]"):
-        make_spec([0.5], [[0.5]], [1.5])
+    assert str(info.value) == "reward_means[1] = 1.5 outside [0, 1]"
+    with pytest.raises(ValidationError) as info:
+        make_spec([0.5, 0.5], [[0.5, float("nan")]], [-0.25])
+    assert str(info.value) == (
+        "cost_means[0][1] = nan outside [0, 1]\nthresholds[0] = -0.25 outside [0, 1]"
+    )
     with pytest.raises(ValidationError, match="horizon"):
         make_spec([0.5], [], [], horizon=0)
 
@@ -348,6 +354,17 @@ def test_threshold_draw_equals_uniform_compare(k, m, horizon, env_seed, data):
     # one arm's (m+1, 1) columns against a run of round words, as a
     # one-arm epoch draws them
     assert np.array_equal(streams.draw(np.array([arm]), words), old(np.full(horizon, arm), words))
+    # drawn into a float (m+1, T) table's columns lo..hi-1, as a trial
+    # draws an epoch: the same signals as 0.0/1.0, the rest untouched
+    lo, hi = sorted(data.draw(st.tuples(st.integers(0, horizon), st.integers(0, horizon))))
+    per_round = data.draw(st.lists(st.integers(0, k - 1), min_size=hi - lo, max_size=hi - lo))
+    for arms in (np.array([arm]), np.array(per_round, dtype=np.int64)):
+        table = np.full((m + 1, horizon), 0.5)
+        drawn = streams.draw(arms, words[lo:hi], out=table[:, lo:hi])
+        assert drawn.dtype == np.float64 and drawn.base is table
+        expected = streams.draw(arms, words[lo:hi])
+        assert np.array_equal(table[:, lo:hi], expected.astype(np.float64))
+        assert (np.delete(table, np.s_[lo:hi], axis=1) == 0.5).all()
 
 
 def test_threshold_draw_at_the_uniform_itself():

@@ -109,8 +109,15 @@ def test_confidence_width_value():
 
 
 def test_confidence_width_validates():
-    with pytest.raises(ValueError):
-        confidence_widths(10, 0.3, 0.5)
+    """A bad split raises on each call, also after many good splits have
+    been used."""
+    for rho_prime in np.linspace(0.1, 0.9, 40):
+        confidence_widths([0, 5], 0.01, float(rho_prime))
+    bad_splits = [(0.3, 0.5), (0.0, 0.5), (0.1, 1.0), (float("nan"), 0.5), (0.05, float("nan"))]
+    for delta_prime, rho_prime in bad_splits * 2:
+        with pytest.raises(ValueError):
+            confidence_widths(10, delta_prime, rho_prime)
+        confidence_widths(10, 0.05, 0.5)
 
 
 @given(
@@ -234,3 +241,73 @@ def test_snap_same_cell_same_output_at_running_widths(grid, position, fracs):
     assume(max(means) <= 1.0)
     outs = snap_to_grid(np.array(means), cell, offset)
     assert outs[0] == outs[1] == snap_to_grid(means[0], cell, offset)
+
+
+@st.composite
+def splits(draw):
+    """A valid (delta', rho') split: 0 < 2*delta' < rho' < 1."""
+    rho_prime = draw(st.floats(1e-9, 1.0, exclude_max=True))
+    delta_prime = draw(st.floats(1e-9, 0.5, exclude_max=True)) * rho_prime
+    assume(0.0 < 2.0 * delta_prime < rho_prime < 1.0)
+    return delta_prime, rho_prime
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@given(split=splits(), counts=st.lists(st.integers(0, 2**40), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_confidence_widths_bit_for_bit(split, counts):
+    """The widths are the formula written out, bit for bit, for python
+    and numpy scalars alike and however often the split was seen."""
+    n = np.array(counts, dtype=np.int64)
+    for delta_prime, rho_prime in (split, tuple(map(np.float64, split))):
+        expected = np.sqrt(
+            2 * np.log(2 / delta_prime)
+            / (np.maximum(n, 1.0) * (rho_prime - 2 * delta_prime) ** 2)
+        )
+        for _ in range(2):
+            widths = confidence_widths(n, delta_prime, rho_prime)
+            assert np.array_equal(_bits(widths), _bits(expected))
+
+
+def _snap_reference(mean, cell, offset):
+    z = np.floor(np.maximum((np.asarray(mean) - offset) / cell, 0.0))
+    return np.minimum(offset + (z + 0.5) * cell, 1.0)
+
+
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 12)),
+    cell_exp=st.floats(-6.0, 7.0),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_snap_to_grid_bit_for_bit(shape, cell_exp, data):
+    """Snapping (signals, arms) means, one cell per arm and one offset
+    per entry as a close does, gives the cell midpoint expression bit
+    for bit, leaves its inputs unchanged, and gives a python float for
+    scalar input."""
+    rows, arms = shape
+
+    def floats(size, lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    size = rows * arms
+    cell = floats(arms, 1.0, 10.0) * 10.0**cell_exp
+    offset = floats(size, 0.0, 1.0).reshape(rows, arms) * cell
+    # some means sit on a cell boundary, where the rounding of the
+    # quotient decides the cell
+    boundary = np.array(data.draw(st.lists(st.integers(-1, 8), min_size=size, max_size=size)))
+    boundary = boundary.reshape(rows, arms)
+    mean = np.where(
+        boundary >= 0, offset + boundary * cell, floats(size, -0.5, 1.5).reshape(rows, arms)
+    )
+    inputs = [mean.copy(), cell.copy(), offset.copy()]
+    out = snap_to_grid(mean, cell, offset)
+    assert np.array_equal(_bits(out), _bits(_snap_reference(mean, cell, offset)))
+    assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(inputs, (mean, cell, offset)))
+    scalars = (float(mean[0, 0]), float(cell[0]), float(offset[0, 0]))
+    one = snap_to_grid(*scalars)
+    assert type(one) is float
+    assert _bits(one) == _bits(_snap_reference(*scalars))

@@ -275,6 +275,7 @@ def test_trial_invariants_on_random_instances(spec, seeds):
             )
             and log.unsafe_rounds
             == sum(not (spec.cost_means @ x <= spec.thresholds + SAFETY_TOL).all() for x in strategies)
+            and log.unsafe_rounds == np.count_nonzero(log.per_round(log.unsafe))
         )
         assert log.actions.shape == (spec.horizon,)
         assert np.all((log.actions >= 0) & (log.actions < spec.k))
