@@ -18,7 +18,13 @@ import numpy as np
 
 from . import polytope
 from .polytope import Infeasible, SimplexPolytopeLP
-from .randomness import RandomSource, finish_bits, label_states, round_words
+from .randomness import (
+    RandomSource,
+    absorb_ready,
+    finish_ready_bits,
+    label_states,
+    round_words,
+)
 from .randomness import first_uniforms  # noqa: F401  (perfbench/tracer.py wraps it by name)
 
 __all__ = [
@@ -251,14 +257,16 @@ class FeedbackStreams:
 
     ``states`` is an (m+1, K) table: row 0 holds the ``env-reward``
     stream states and row i+1 the ``env-cost`` states of constraint i,
-    one column per arm, each absorbed up to and including ``cons``.  A
-    draw then only absorbs the round word and mixes once more, and
-    realizes each signal as 1 when its uniform n / 2^53 falls below the
-    mean μ, read as the exact integer compare n < ``limits`` =
-    ceil(μ · 2^53) (so μ = 0 never fires and μ = 1 always does).
+    one column per arm, each absorbed up to and including ``cons``;
+    ``ready`` is the same table offset for the round word's absorb
+    (``absorb_ready``).  A draw then only absorbs the round word and
+    mixes once more, and realizes each signal as 1 when its uniform
+    n / 2^53 falls below the mean μ, read as the exact integer compare
+    n < ``limits`` = ceil(μ · 2^53) (so μ = 0 never fires and μ = 1
+    always does).
     """
 
-    __slots__ = ("states", "limits")
+    __slots__ = ("states", "ready", "limits")
 
     def __init__(self, spec: InstanceSpec, env: RandomSource):
         arms = np.arange(spec.k)
@@ -266,6 +274,7 @@ class FeedbackStreams:
             label_states(env, "env-reward", arm=arms),
             label_states(env, "env-cost", arm=arms, cons=np.arange(spec.m)[:, None]),
         ])
+        self.ready = absorb_ready(self.states)
         means = np.vstack([spec.reward_means, spec.cost_means])
         self.limits = np.ceil(np.ldexp(means, 53)).astype(np.uint64)
 
@@ -273,13 +282,18 @@ class FeedbackStreams:
         """Feedback (m+1, ...) of pulling ``arms`` at the rounds whose
         ``field_words`` are ``rnd_words`` (the two broadcast).
 
-        Boolean, or, given ``out``, written into it and returned: a
-        trial passes the epoch's columns of its float (m+1, T) feedback
-        table, which then holds each signal as 0.0 or 1.0 with no
-        boolean temporary in between.
+        ``arms`` is an arm or an array of arms, whose columns are taken,
+        or a slice, whose columns are read as views (a one-arm epoch
+        passes ``slice(arm, arm + 1)``).  The result is boolean; given
+        ``out``, it is written there and returned.  A trial passes the
+        epoch's columns of its boolean (m+1, T) feedback table, so each
+        signal lands in its byte with no temporary or cast.
         """
-        bits = finish_bits(self.states.take(arms, axis=1), rnd_words)
-        return np.less(bits, self.limits.take(arms, axis=1), out=out)
+        if isinstance(arms, slice):
+            ready, limits = self.ready[:, arms], self.limits[:, arms]
+        else:
+            ready, limits = self.ready.take(arms, axis=1), self.limits.take(arms, axis=1)
+        return np.less(finish_ready_bits(ready, rnd_words), limits, out=out)
 
 
 def feedback_tables(

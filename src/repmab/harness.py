@@ -9,7 +9,7 @@ epoch at a time with array operations.  An epoch whose strategy has one
 positive-mass arm, whichever policy chose it, is resolved in closed
 form: its length from that arm's doubling target, its feedback from
 the arm's streams against the epoch's round words, its success counts
-by summing along the rounds.  Any other epoch takes its actions from
+by counting along the rounds.  Any other epoch takes its actions from
 the labeled per-round action uniforms (drawn only once some strategy
 has two positive-mass arms), its end from the first doubling target
 hit, and feedback only for the (round, arm) pairs played.  Either way
@@ -20,10 +20,10 @@ prefixes once per trial, the round words once per horizon.  Only the
 per-round UCB1 baseline loops over rounds in Python, and only to pick
 and observe; its feedback comes from the same labeled streams.
 
-A trial's realized feedback is one float (m+1, T) table, reward in row
-0 and the cost of constraint i in row i+1, whose rows are the log's
-``rewards`` and ``costs``.  Every draw writes its signals as 0.0/1.0
-straight into the columns of the rounds it covers.
+A trial's realized feedback is one boolean (m+1, T) table, reward in
+row 0 and the cost of constraint i in row i+1, whose rows are the log's
+``rewards`` and ``costs``.  Every draw writes its signals, one byte
+each, straight into the columns of the rounds it covers.
 
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
@@ -36,9 +36,10 @@ Every trial ends in one gather: play yields a strategy key per round
 (the epoch index, or the arm for UCB1, whose strategy is the one-hot
 of its pick), a table of strategies per key (the epoch table's ``x``
 column) and the rounds each key played.  Expected regret, violation
-and safety are evaluated and kept once per key, the unsafe rounds
-counted from the rounds per key; per-round arrays are expanded from
-them on demand.
+and safety are evaluated once per distinct strategy and kept once per
+key, the unsafe rounds counted from the rounds per key; per-round
+arrays are expanded from them on demand, by repeating each epoch's
+entry over its run of rounds, or, for UCB1, through the keys.
 
 Every output file goes through one of two writers: ``_write_csv`` for
 ``rounds.csv``, ``regret_curve.csv`` and ``pairs.csv``, ``_write_json``
@@ -68,7 +69,7 @@ from .environment import (
 from .randomness import (
     RandomSource,
     StreamLabel,
-    finish_bits,
+    finish_ready_bits,
     finish_uniforms,
     index_from_cdf,
     label_states,
@@ -117,13 +118,16 @@ def _epoch_table(rows: int, k: int, m: int) -> np.recarray:
 class TrialLog:
     """Complete record of one trial.
 
-    Per-round arrays are parallel over t = 1..T.  ``epochs`` is the epoch
-    table (empty for the per-round baseline).  Round t played the
+    Per-round arrays are parallel over t = 1..T: ``actions`` (int32),
+    ``rewards`` (bool, T) and ``costs`` (bool, (m, T)), the rows of the
+    trial's feedback table, and ``keys`` (int32).  ``epochs`` is the
+    epoch table (empty for the per-round baseline).  Round t played the
     strategy ``strategies[keys[t-1]]``: the key is the epoch index for
     the epoch policies, whose strategies are the table's ``x`` column,
     and the arm for the per-round baseline, whose strategy is the
     one-hot of its pick.  Expected regret, violation and safety are kept
-    per key and expanded to rounds on demand.
+    per key and expanded to rounds on demand (``per_round``).  So a log
+    holds 4 + (m+1) + 4 bytes per round, 11 with two constraints.
     """
 
     algo: str
@@ -157,9 +161,9 @@ class TrialLog:
 
     @property
     def inst_violation(self) -> np.ndarray:
-        """Clamped expected excess of each round, (m, T)."""
-        # take keeps C order, on which _gather's row sums depend bit for bit
-        return self.violation.take(self.keys, axis=1)
+        """Clamped expected excess of each round, (m, T), in C order, on
+        which _gather's row sums depend bit for bit."""
+        return self.per_round(self.violation, axis=1)
 
     @property
     def epoch_of_round(self) -> np.ndarray:
@@ -169,16 +173,50 @@ class TrialLog:
             return self.keys
         return np.arange(self.horizon, dtype=np.int32)
 
-    def per_round(self, table) -> np.ndarray:
-        """Expand a table with one entry per strategy key to one per round."""
-        return np.asarray(table)[self.keys]
+    def per_round(self, table, axis: int = 0) -> np.ndarray:
+        """Expand a table with one entry per strategy key along ``axis``
+        to one per round.
+
+        The epoch policies' keys are consecutive runs, one per epoch, so
+        their tables are repeated by epoch length; the per-round
+        baseline's are gathered through its keys, the arms it pulled.
+        """
+        table = np.asarray(table)
+        epochs = self.epochs
+        if len(epochs):
+            lengths = np.diff(epochs.t_start, append=self.horizon + 1)
+            return table.repeat(lengths, axis=axis)
+        return table.take(self.keys, axis=axis)
 
     def strategy_matrix(self) -> np.ndarray:
         """Per-round strategies as a (T, K) matrix."""
         return self.per_round(self.strategies)
 
+    def _strategy_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start round and strategy of each maximal run of rounds that
+        play equal strategies, equal as ``np.array_equal`` compares them
+        (so -0.0 equals 0.0): the epoch table with equal neighbours
+        merged, or the runs of the baseline's repeated picks."""
+        if len(self.epochs):
+            starts, x = self.epochs.t_start, self.epochs.x
+            new = np.ones(len(x), dtype=bool)
+            new[1:] = (x[1:] != x[:-1]).any(axis=1)
+            return starts[new], x[new]
+        new = np.ones(self.horizon, dtype=bool)
+        new[1:] = self.actions[1:] != self.actions[:-1]
+        return np.flatnonzero(new) + 1, self.strategies[self.actions[new]]
+
     def same_strategy_sequence(self, other: "TrialLog") -> bool:
-        return bool(np.array_equal(self.strategy_matrix(), other.strategy_matrix()))
+        """Whether both logs play equal strategies at every round, as
+        ``np.array_equal`` of their strategy matrices, without building
+        them: two baselines compare their picks, anything else its
+        strategy runs."""
+        if (self.horizon, self.k) != (other.horizon, other.k):
+            return False
+        if not (len(self.epochs) or len(other.epochs)):
+            return self.same_action_sequence(other)
+        runs = zip(self._strategy_runs(), other._strategy_runs())
+        return all(np.array_equal(a, b) for a, b in runs)
 
     def same_action_sequence(self, other: "TrialLog") -> bool:
         return bool(np.array_equal(self.actions, other.actions))
@@ -223,7 +261,7 @@ def run_trial(
     env = RandomSource(env_seed)
     policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
     # one row per signal, reward first; the draws write straight into it
-    feedback = np.empty((spec.m + 1, horizon))
+    feedback = np.empty((spec.m + 1, horizon), dtype=bool)
     log = TrialLog(
         algo=algo,
         horizon=horizon,
@@ -247,17 +285,29 @@ def _gather(
     log, spec, oracle, keys: np.ndarray, strategies: np.ndarray, key_rounds: np.ndarray
 ) -> None:
     """Fill the per-key regret, violation and unsafe tables of ``log``
-    (each row of ``strategies`` is evaluated once; ``keys`` names the
-    row that each round played, ``key_rounds`` counts the rounds of
-    each key), judge its epoch table and total up.
+    (``keys`` names the row of ``strategies`` that each round played,
+    ``key_rounds`` counts the rounds of each key), judge its epoch
+    table and total up.  The totals add the per-round values, which
+    ``TrialLog.per_round`` expands from the per-key tables: by epoch
+    length for the epoch policies, whose keys are consecutive runs.
 
-    The dot products stay one per key, as ``instant_regret`` and
+    The dot products stay one per strategy, as ``instant_regret`` and
     ``instant_violation`` take them: one product over all keys at once
-    may round differently."""
+    may round differently.  They are taken once per distinct strategy
+    (keyed on its bytes), since consecutive epochs often repeat one."""
     log.keys = keys
     log.strategies = strategies
-    log.regret = oracle.opt_value - np.array([spec.reward_means @ x for x in strategies])
-    expected_costs = np.stack([spec.cost_means @ x for x in strategies], axis=1)
+    means = {}  # strategy bytes -> expected reward and costs
+    rewards, costs = [], []
+    for x in strategies:
+        key = x.tobytes()
+        if key not in means:
+            means[key] = (spec.reward_means @ x, spec.cost_means @ x)
+        reward, cost = means[key]
+        rewards.append(reward)
+        costs.append(cost)
+    log.regret = oracle.opt_value - np.array(rewards)
+    expected_costs = np.stack(costs, axis=1)
     thresholds = spec.thresholds[:, None]
     log.violation = np.maximum(expected_costs - thresholds, 0.0)
     log.unsafe = ~(expected_costs <= thresholds + SAFETY_TOL).all(axis=0)
@@ -305,12 +355,13 @@ def _play_epochs(log, policy, spec, xi, env, feedback) -> tuple[np.ndarray, ...]
     this horizon shares, and serve both the action uniforms and the
     feedback, whose label-prefix states are tabulated once per trial.
     Every epoch's feedback is drawn straight into its columns of the
-    trial's (m+1, T) ``feedback`` table.  A strategy with one
+    trial's boolean (m+1, T) ``feedback`` table.  A strategy with one
     positive-mass arm plays that arm whatever the uniform, so its epoch
     is resolved in closed form: it lasts until the arm reaches its
     target or the horizon, its feedback is the arm's (m+1, 1) state and
-    limit columns drawn against the epoch's round words, and its success
-    counts are row sums of those columns.  Otherwise the actions come
+    limit columns (slices, not copies) drawn against the epoch's round
+    words, and its success counts are the ``count_nonzero`` of each
+    signal's row.  Otherwise the actions come
     from the per-round labeled action uniforms, feedback is drawn for
     the (round, arm) pairs played, and the statistics are two
     ``bincount``s.  The T action uniforms are drawn on first read, at
@@ -341,12 +392,11 @@ def _play_epochs(log, policy, spec, xi, env, feedback) -> tuple[np.ndarray, ...]
             arm = support[0]
             hi = lo + min(int(need[arm]), horizon - lo)
             log.actions[lo:hi] = arm
-            drawn = streams.draw(support, rnd_words[lo:hi], out=feedback[:, lo:hi])
+            drawn = streams.draw(slice(arm, arm + 1), rnd_words[lo:hi], out=feedback[:, lo:hi])
             pulls = np.zeros(k, dtype=np.int64)
             pulls[arm] = hi - lo
             successes = np.zeros((rows, k))
-            # sums of 0.0/1.0 below 2^53 are exact counts
-            successes[:, arm] = drawn[:rows].sum(axis=1)
+            successes[:, arm] = [np.count_nonzero(signal) for signal in drawn[:rows]]
         else:
             if action_u is None:
                 action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
@@ -416,14 +466,15 @@ def _play_per_round(log, policy, spec, env, feedback) -> tuple[np.ndarray, ...]:
     Its strategy is the one-hot of the pick, so the key is the arm.
 
     The picks read a boolean (T, K) reward table (a True reward adds
-    exactly 1.0); the played arms' feedback is then drawn as the epoch
+    exactly 1.0), finished from the streams' absorb-ready states; the
+    played arms' feedback is then drawn as the epoch
     engine draws it, for the (round, arm) pairs played, straight into
     the trial's ``feedback`` table.  Returns the per-round keys, the
     strategy per key and the rounds per key.
     """
     rnd_words = round_words(log.horizon)
     streams = FeedbackStreams(spec, env)
-    rewards = finish_bits(streams.states[0], rnd_words[:, None]) < streams.limits[0]
+    rewards = finish_ready_bits(streams.ready[0], rnd_words[:, None]) < streams.limits[0]
     picks = []
     for t, row in enumerate(rewards.tolist(), start=1):
         a = policy.pick(t)
@@ -591,6 +642,7 @@ def _rounds_rows(trial_idx: int, log: TrialLog):
         return map(cells.__getitem__, keys)
 
     signals = (log.rewards.tolist(), *log.costs.tolist())
+    signal_cell = ("0.0", "1.0").__getitem__  # a signal's bool indexes its cell
     per_key = (log.regret.tolist(), *log.violation.tolist())
     return zip(
         itertools.repeat(str(trial_idx), log.horizon),
@@ -598,7 +650,7 @@ def _rounds_rows(trial_idx: int, log: TrialLog):
         map(str, log.epoch_of_round.tolist()),
         map(str, log.actions.tolist()),
         by_key([";".join(map(repr, x)) for x in log.strategies.tolist()]),
-        *(map(repr, signal) for signal in signals),
+        *(map(signal_cell, signal) for signal in signals),
         *(by_key(list(map(repr, column))) for column in per_key),
     )
 

@@ -20,8 +20,10 @@ prefix (purpose, epoch, arm, cons) over a grid of its fields;
 ``absorb_words`` and ``finish_uniforms`` absorb word tables into states
 and read the first uniform.  ``first_uniforms`` is the composition for
 a whole label grid.
-Trials tabulate the prefixes and words they reuse, so a draw costs one
-absorb and one final mix, both in place through one temporary array.
+Trials tabulate the prefixes, already offset for their next absorb
+(``absorb_ready``), and the words they reuse, so a draw
+(``finish_ready_bits``) costs one XOR and two mixes, all in place
+through one temporary array.
 The round words of rounds 1..T are one read-only table per horizon,
 ``round_words(T)``, shared by every trial at that horizon.
 
@@ -44,9 +46,11 @@ __all__ = [
     "RandomSource",
     "StreamLabel",
     "UniformStream",
+    "absorb_ready",
     "absorb_words",
     "field_words",
     "finish_bits",
+    "finish_ready_bits",
     "finish_uniforms",
     "first_uniforms",
     "label_states",
@@ -64,9 +68,19 @@ _TWO53 = float(1 << 53)
 SIMPLEX_TOL = 1e-9
 
 _U64 = np.uint64
-_U11, _U27, _U30, _U31 = _U64(11), _U64(27), _U64(30), _U64(31)
-_U_GOLDEN, _U_DOMAIN = _U64(_GOLDEN), _U64(_DOMAIN)
-_U_M1, _U_M2 = _U64(_MIX_M1), _U64(_MIX_M2)
+
+
+def _operand(value: int) -> np.ndarray:
+    """A read-only 0-d uint64 array: as an operand of the mixers' ufuncs
+    it costs less per call than a numpy scalar, and gives the same bits."""
+    arr = np.array(value, dtype=np.uint64)
+    arr.flags.writeable = False
+    return arr
+
+
+_U11, _U27, _U30, _U31 = map(_operand, (11, 27, 30, 31))
+_U_GOLDEN, _U_DOMAIN = _operand(_GOLDEN), _operand(_DOMAIN)
+_U_M1, _U_M2 = _operand(_MIX_M1), _operand(_MIX_M2)
 
 
 def _mix_int(z: int) -> int:
@@ -81,15 +95,16 @@ def _absorb_int(state: int, word: int) -> int:
     return _mix_int(((state + _GOLDEN) & _MASK64) ^ _mix_int(word ^ _DOMAIN))
 
 
-def _mix_u64(z):
+def _mix_u64(z, tmp=None):
     """Vectorized twin of _mix_int: mixes a uint64 ndarray in place
-    through one temporary and returns it.  A numpy scalar is mixed as a
-    0-d array and given back as a new numpy scalar.
+    through one temporary (``tmp``, an array of z's shape, when given)
+    and returns it.  A numpy scalar is mixed as a 0-d array and given
+    back as a new numpy scalar.
 
     Wraps mod 2^64 like _mix_int, on arrays only, so it never warns.
     """
     a = z if isinstance(z, np.ndarray) else np.array(z, dtype=np.uint64)
-    tmp = np.right_shift(a, _U30, out=np.empty_like(a))
+    tmp = np.right_shift(a, _U30, out=np.empty_like(a) if tmp is None else tmp)
     a ^= tmp
     a *= _U_M1
     np.right_shift(a, _U27, out=tmp)
@@ -232,16 +247,33 @@ def absorb_words(states, words) -> np.ndarray:
 
     States may be python ints.  The result is a fresh uint64 array of
     the broadcast shape (0-d when both are scalars), mixed in place.
-    The golden offset is added over the states' shape, so the result is
-    the only array allocated at its full size.
     """
+    return _mix_u64(_xor_words(states, words))
+
+
+def _xor_words(states, words) -> np.ndarray:
+    """(states + golden) ^ words, an absorb before its mix.  The golden
+    offset is added over the states' shape, so the result is the only
+    array allocated at the broadcast shape."""
     states = np.asarray(states, dtype=np.uint64)
     z = np.add(states, _U_GOLDEN, out=np.empty_like(states))
     if np.broadcast(z, words).shape == z.shape:
         z ^= words
     else:  # the words widen the grid
         z = z ^ words
-    return _mix_u64(z)
+    return z
+
+
+def _read_bits(z) -> np.ndarray:
+    """Finish an absorb whose words are XORed in but not yet mixed, in
+    place: its mix, then the counter-1 read (add golden, mix, keep the
+    top 53 bits), both mixes through one temporary."""
+    tmp = np.empty_like(z)
+    _mix_u64(z, tmp)
+    z += _U_GOLDEN
+    _mix_u64(z, tmp)
+    z >>= _U11
+    return z
 
 
 def finish_bits(states, words) -> np.ndarray:
@@ -249,11 +281,21 @@ def finish_bits(states, words) -> np.ndarray:
     integer n of each stream's first uniform n / 2^53 (its counter-1
     value).  Broadcasting as in ``absorb_words``.  A Bernoulli(μ) signal
     is ``n < ceil(μ · 2^53)``, exactly ``u < μ`` (module docstring)."""
-    raw = absorb_words(states, words)
-    raw += _U_GOLDEN
-    _mix_u64(raw)
-    raw >>= _U11
-    return raw
+    return _read_bits(_xor_words(states, words))
+
+
+def absorb_ready(states) -> np.ndarray:
+    """States plus the golden offset: the half of an absorb that depends
+    only on the state, kept by callers that finish the same states with
+    many word tables (``finish_ready_bits``)."""
+    return np.add(np.asarray(states, dtype=np.uint64), _U_GOLDEN)
+
+
+def finish_ready_bits(ready: np.ndarray, words) -> np.ndarray:
+    """``finish_bits`` of the states whose ``absorb_ready`` table is
+    ``ready`` (an array of at least one dimension): the words are XORed
+    into one fresh array of the broadcast shape, with no shape probe."""
+    return _read_bits(np.bitwise_xor(ready, words))
 
 
 def finish_uniforms(states, words) -> np.ndarray:

@@ -277,6 +277,19 @@ def test_trial_invariants_on_random_instances(spec, seeds):
             == sum(not (spec.cost_means @ x <= spec.thresholds + SAFETY_TOL).all() for x in strategies)
             and log.unsafe_rounds == np.count_nonzero(log.per_round(log.unsafe))
         )
+        # expanding the per-key tables by run length gives their gathers
+        # through the keys, and the totals add those gathers bit for bit
+        keys = log.keys
+        assert np.array_equal(log.inst_regret, log.regret[keys])
+        assert np.array_equal(log.inst_violation, log.violation.take(keys, axis=1))
+        assert np.array_equal(strategies, log.strategies[keys])
+        assert log.regret_total == float(np.sum(log.regret[keys]))
+        if spec.m:
+            gathered = log.violation.take(keys, axis=1)
+            assert log.violation_total == float(np.max(np.sum(gathered, axis=1)))
+        # the realized feedback is the rows of one boolean table
+        assert log.rewards.dtype == bool and log.rewards.shape == (spec.horizon,)
+        assert log.costs.dtype == bool and log.costs.shape == (spec.m, spec.horizon)
         assert log.actions.shape == (spec.horizon,)
         assert np.all((log.actions >= 0) & (log.actions < spec.k))
         if algo == "ucb1":
@@ -303,3 +316,124 @@ def test_trial_invariants_on_random_instances(spec, seeds):
         signals = np.vstack([log.rewards, log.costs[: policy.m]])
         assert np.array_equal(policy.state.counts, played.sum(axis=1))
         assert np.array_equal(policy.sums, [[row[arm].sum() for arm in played] for row in signals])
+
+
+# -- strategy sequences ---------------------------------------------------
+
+
+def _same_matrices(a, b) -> bool:
+    return bool(np.array_equal(a.strategy_matrix(), b.strategy_matrix()))
+
+
+@pytest.mark.parametrize("instance", sorted({name for name, _ in TRIAL_DIGESTS}))
+def test_same_strategy_sequence_on_golden_cases(instance):
+    """On the golden trials, every pair of logs (any two algorithms and
+    seeds, the per-round baseline included) compares as their strategy
+    matrices do."""
+    spec = load_instance(INSTANCE_DIR / f"{instance}.json")
+    oracle = solve_oracle(spec)
+    logs = [
+        run_trial(spec, algo, xi_seed, env_seed, delta=0.05, rho=0.2, horizon=HORIZON, oracle=oracle)
+        for algo in ("debora", "debora-s", "debora-h", "ucb1")
+        for xi_seed, env_seed in SEEDS
+    ]
+    outcomes = set()
+    for a in logs:
+        for b in logs:
+            same = _same_matrices(a, b)
+            assert a.same_strategy_sequence(b) is same
+            outcomes.add(same)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=instances(),
+    algos=st.tuples(*[st.sampled_from(["debora", "debora-s", "debora-h", "ucb1"])] * 2),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3),
+    shared_xi=st.booleans(),
+)
+def test_same_strategy_sequence_on_random_pairs(spec, algos, seeds, shared_xi):
+    oracle = solve_oracle(spec)
+    xi_a, env_a, env_b = seeds
+    xi_b = xi_a if shared_xi else env_a
+    kwargs = dict(delta=0.05, rho=0.2, oracle=oracle)
+    try:
+        a = run_trial(spec, algos[0], xi_a, env_a, **kwargs)
+        b = run_trial(spec, algos[1], xi_b, env_b, **kwargs)
+    except ConfigError:
+        assert "debora-h" in algos and not oracle.lambda_min > 0.0
+        return
+    assert a.same_strategy_sequence(b) is _same_matrices(a, b)
+    assert b.same_strategy_sequence(a) is _same_matrices(a, b)
+
+
+# one-hot strategies (with a -0.0 twin of the first) and a mixed one
+_PALETTE = np.array([[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+_ARM_OF = {0: 0, 1: 0, 2: 2}  # the arm of each one-hot palette entry
+
+
+def _hand_built_log(sequence, cuts=(), baseline=False):
+    """A log that plays ``_PALETTE[sequence[t-1]]`` at round t: as the
+    per-round baseline (one-hot entries only), or as epochs that start
+    wherever the palette entry changes and at the rounds ``cuts``."""
+    horizon = len(sequence)
+    sequence = np.asarray(sequence)
+    common = dict(algo="hand", horizon=horizon, k=3, m=0, xi_seed=0, env_seed=0,
+                  rewards=np.zeros(horizon, bool), costs=np.zeros((0, horizon), bool))
+    if baseline:
+        actions = np.array([_ARM_OF[i] for i in sequence], dtype=np.int32)
+        return harness.TrialLog(actions=actions, epochs=harness._epoch_table(0, 3, 0),
+                                keys=actions, strategies=np.eye(3), **common)
+    changes = np.flatnonzero(np.diff(sequence)) + 2
+    starts = np.unique(np.concatenate([[1], changes, np.asarray(cuts, dtype=int)]))
+    epochs = harness._epoch_table(starts.size, 3, 0)
+    epochs.h = np.arange(starts.size)
+    epochs.t_start = starts
+    epochs.x = _PALETTE[sequence[starts - 1]]
+    keys = np.arange(starts.size, dtype=np.int32).repeat(np.diff(starts, append=horizon + 1))
+    return harness.TrialLog(actions=np.zeros(horizon, np.int32), epochs=epochs, keys=keys,
+                            strategies=epochs.x, **common)
+
+
+def test_same_strategy_sequence_merges_split_epochs():
+    """Epochs that split one strategy sequence at different rounds, or
+    that repeat a strategy as its -0.0 twin, still compare equal."""
+    sequence = [0, 0, 0, 1, 1, 2, 2, 2, 3, 3]
+    a = _hand_built_log(sequence)
+    b = _hand_built_log(sequence, cuts=[2, 3, 7])
+    c = _hand_built_log([0] * 5 + [2, 2, 2, 3, 3], cuts=[4])
+    d = _hand_built_log([0, 0, 0, 1, 2, 2, 2, 2, 3, 3])
+    assert len(a.epochs) == 4 and len(b.epochs) == 7
+    for x, y, same in ((a, b, True), (a, c, True), (b, c, True), (a, d, False)):
+        assert _same_matrices(x, y) is same
+        assert x.same_strategy_sequence(y) is same and y.same_strategy_sequence(x) is same
+    one_hot = [0, 0, 1, 2, 2, 2]
+    split = _hand_built_log(one_hot, cuts=[2, 5])
+    for baseline in (_hand_built_log(one_hot, baseline=True),
+                     _hand_built_log([0, 0, 0, 2, 2, 0], baseline=True)):
+        same = _same_matrices(split, baseline)
+        assert split.same_strategy_sequence(baseline) is same
+        assert baseline.same_strategy_sequence(split) is same
+    assert split.same_strategy_sequence(_hand_built_log(one_hot, baseline=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_same_strategy_sequence_on_hand_built_logs(data):
+    horizon = data.draw(st.integers(1, 24))
+    entries = st.integers(0, len(_PALETTE) - 1)
+
+    def log(sequence):
+        if data.draw(st.booleans()) and set(sequence) <= set(_ARM_OF):
+            return _hand_built_log(sequence, baseline=True)
+        cuts = data.draw(st.lists(st.integers(1, horizon), max_size=horizon))
+        return _hand_built_log(sequence, cuts)
+
+    seq_a = data.draw(st.lists(entries, min_size=horizon, max_size=horizon))
+    if data.draw(st.booleans()):
+        seq_b = list(seq_a)
+    else:
+        seq_b = data.draw(st.lists(entries, min_size=horizon, max_size=horizon))
+    a, b = log(seq_a), log(seq_b)
+    assert a.same_strategy_sequence(b) is _same_matrices(a, b)
