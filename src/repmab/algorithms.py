@@ -46,7 +46,6 @@ __all__ = [
     "epoch_budget",
     "make_policy",
     "mixing_coefficient",
-    "optimistic_strategy",
 ]
 
 # epochs whose grid offsets are hashed in one pass: about 100 KB at
@@ -92,20 +91,14 @@ class EpochState:
     sigma: float = 0.0
 
 
-def optimistic_strategy(
-    ucb: np.ndarray, pessimistic_costs: np.ndarray, thresholds: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Argmax of the optimistic reward over the optimistic safe polytope.
+def _solve_optimistic(lp: SimplexPolytopeLP) -> tuple[np.ndarray, bool]:
+    """Argmax of the optimistic reward over the optimistic safe polytope
+    that ``lp`` describes.
 
     Returns (strategy, fallback_used).  Off the high-probability event
     the polytope can be empty; the fallback then plays the strategy with
     the least worst-case excess instead of crashing the run.
     """
-    return _solve_optimistic(SimplexPolytopeLP(ucb, pessimistic_costs, thresholds))
-
-
-def _solve_optimistic(lp: SimplexPolytopeLP) -> tuple[np.ndarray, bool]:
-    """``optimistic_strategy`` of an already validated program."""
     try:
         x, _ = polytope.solve(lp)
         return x, False

@@ -29,17 +29,16 @@ The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
 widths, estimates, sigma, fallback, and the clean and x*-containment
 flags, judged against the instance column-wise once the trial ends.
-The epoch of each round is not stored: the per-round keys are expanded
-once from the table's start rounds.
 
-Every trial ends in one gather: play yields a strategy key per round
-(the epoch index, or the arm for UCB1, whose strategy is the one-hot
-of its pick), a table of strategies per key (the epoch table's ``x``
-column) and the rounds each key played.  Expected regret, violation
+A log stores only what it cannot derive: the actions, the feedback
+table and the epoch table.  Each round plays the strategy of a key, the
+epoch index for the epoch policies (whose strategies are the table's
+``x`` column), or the arm for UCB1 (whose strategy is the one-hot of
+its pick).  Every trial ends in one gather: expected regret, violation
 and safety are evaluated once per distinct strategy and kept once per
-key, the unsafe rounds counted from the rounds per key; per-round
-arrays are expanded from them on demand, by repeating each epoch's
-entry over its run of rounds, or, for UCB1, through the keys.
+key.  Per-round arrays, the epoch of each round among them, are
+expanded from per-key tables on demand, by repeating each epoch's entry
+over its run of rounds, or, for UCB1, through the actions.
 
 Every output file goes through one of two writers: ``_write_csv`` for
 ``rounds.csv``, ``regret_curve.csv`` and ``pairs.csv``, ``_write_json``
@@ -119,15 +118,14 @@ class TrialLog:
     """Complete record of one trial.
 
     Per-round arrays are parallel over t = 1..T: ``actions`` (int32),
-    ``rewards`` (bool, T) and ``costs`` (bool, (m, T)), the rows of the
-    trial's feedback table, and ``keys`` (int32).  ``epochs`` is the
-    epoch table (empty for the per-round baseline).  Round t played the
-    strategy ``strategies[keys[t-1]]``: the key is the epoch index for
-    the epoch policies, whose strategies are the table's ``x`` column,
-    and the arm for the per-round baseline, whose strategy is the
-    one-hot of its pick.  Expected regret, violation and safety are kept
-    per key and expanded to rounds on demand (``per_round``).  So a log
-    holds 4 + (m+1) + 4 bytes per round, 11 with two constraints.
+    and the rows of the trial's feedback table, ``rewards`` (bool, T)
+    and ``costs`` (bool, (m, T)).  ``epochs`` is the epoch table (empty
+    for the per-round baseline).  Round t played the strategy of its
+    key, a row of ``strategies``: the epoch index for the epoch
+    policies, the arm for the per-round baseline.  Expected regret,
+    violation and safety are kept per key and expanded to rounds on
+    demand (``per_round``).  So a log holds 4 + (m+1) bytes per round,
+    7 with two constraints.
     """
 
     algo: str
@@ -140,8 +138,6 @@ class TrialLog:
     rewards: np.ndarray
     costs: np.ndarray
     epochs: np.recarray | None = None
-    keys: np.ndarray | None = None
-    strategies: np.ndarray | None = None
     regret: np.ndarray | None = None
     violation: np.ndarray | None = None
     unsafe: np.ndarray | None = None
@@ -166,11 +162,19 @@ class TrialLog:
         return self.per_round(self.violation, axis=1)
 
     @property
+    def strategies(self) -> np.ndarray:
+        """Strategy of each key, (keys, K): the epoch table's ``x``
+        column, or the one-hots of the per-round baseline's arms."""
+        if len(self.epochs):
+            return self.epochs.x
+        return np.eye(self.k)
+
+    @property
     def epoch_of_round(self) -> np.ndarray:
         """Epoch index of each round, (T,): the strategy key of the epoch
         policies; the per-round baseline counts every round as an epoch."""
         if len(self.epochs):
-            return self.keys
+            return self.per_round(np.arange(len(self.epochs), dtype=np.int32))
         return np.arange(self.horizon, dtype=np.int32)
 
     def per_round(self, table, axis: int = 0) -> np.ndarray:
@@ -186,7 +190,7 @@ class TrialLog:
         if len(epochs):
             lengths = np.diff(epochs.t_start, append=self.horizon + 1)
             return table.repeat(lengths, axis=axis)
-        return table.take(self.keys, axis=axis)
+        return table.take(self.actions, axis=axis)
 
     def strategy_matrix(self) -> np.ndarray:
         """Per-round strategies as a (T, K) matrix."""
@@ -230,7 +234,6 @@ class TrialLog:
             (self.actions, other.actions),
             (self.rewards, other.rewards),
             (self.costs, other.costs),
-            (self.keys, other.keys),
             (self.regret, other.regret),
             (self.violation, other.violation),
             (self.epochs, other.epochs),
@@ -274,32 +277,26 @@ def run_trial(
         costs=feedback[1:],
     )
     if isinstance(policy, Ucb1):
-        played = _play_per_round(log, policy, spec, env, feedback)
+        _play_per_round(log, policy, spec, env, feedback)
     else:
-        played = _play_epochs(log, policy, spec, xi, env, feedback)
-    _gather(log, spec, oracle, *played)
+        _play_epochs(log, policy, spec, xi, env, feedback)
+    _gather(log, spec, oracle)
     return log
 
 
-def _gather(
-    log, spec, oracle, keys: np.ndarray, strategies: np.ndarray, key_rounds: np.ndarray
-) -> None:
-    """Fill the per-key regret, violation and unsafe tables of ``log``
-    (``keys`` names the row of ``strategies`` that each round played,
-    ``key_rounds`` counts the rounds of each key), judge its epoch
-    table and total up.  The totals add the per-round values, which
-    ``TrialLog.per_round`` expands from the per-key tables: by epoch
-    length for the epoch policies, whose keys are consecutive runs.
+def _gather(log, spec, oracle) -> None:
+    """Fill the per-key regret, violation and unsafe tables of ``log``,
+    one entry per row of ``log.strategies``, judge its epoch table and
+    total up.  The totals and the unsafe-round count add the per-round
+    values, which ``TrialLog.per_round`` expands from the per-key tables.
 
     The dot products stay one per strategy, as ``instant_regret`` and
     ``instant_violation`` take them: one product over all keys at once
     may round differently.  They are taken once per distinct strategy
     (keyed on its bytes), since consecutive epochs often repeat one."""
-    log.keys = keys
-    log.strategies = strategies
     means = {}  # strategy bytes -> expected reward and costs
     rewards, costs = [], []
-    for x in strategies:
+    for x in log.strategies:
         key = x.tobytes()
         if key not in means:
             means[key] = (spec.reward_means @ x, spec.cost_means @ x)
@@ -322,7 +319,7 @@ def _gather(
     log.fallback_count = int(np.count_nonzero(epochs.fallback))
     log.clean_all = bool(epochs.clean.all())
     log.containment_ok = bool(epochs.contains_x_star.all())
-    log.unsafe_rounds = int(key_rounds[log.unsafe].sum())
+    log.unsafe_rounds = int(np.count_nonzero(log.per_round(log.unsafe)))
     log.any_unsafe = log.unsafe_rounds > 0
 
 
@@ -343,13 +340,12 @@ def _judge_epochs(epochs: np.recarray, spec, oracle) -> None:
     epochs.contains_x_star = (pessimistic <= spec.thresholds[:m] + SAFETY_TOL).all(axis=1)
 
 
-def _play_epochs(log, policy, spec, xi, env, feedback) -> tuple[np.ndarray, ...]:
+def _play_epochs(log, policy, spec, xi, env, feedback) -> None:
     """Epoch policies: the strategy is frozen between closes, so each
     epoch is resolved as a whole and reported to the policy only through
     its sufficient statistics, the pulls per arm and the successes per
-    tracked signal and arm.  The strategy key is the epoch index, which
-    is also the epoch's row in the epoch table; the per-round keys are
-    expanded from the table's start rounds once the last epoch ends.
+    tracked signal and arm.  Fills the log's actions and epoch table,
+    in which an epoch's row index is its strategy key.
 
     The round words come from the read-only table that every trial at
     this horizon shares, and serve both the action uniforms and the
@@ -367,8 +363,6 @@ def _play_epochs(log, policy, spec, xi, env, feedback) -> tuple[np.ndarray, ...]
     ``bincount``s.  The T action uniforms are drawn on first read, at
     the first epoch whose strategy has two positive-mass arms: never in
     a ``debora`` trial, nor in one whose strategies all stay one-hot.
-    Returns the per-round keys, the strategy per key and the rounds per
-    key.
     """
     horizon = log.horizon
     k = spec.k
@@ -410,9 +404,8 @@ def _play_epochs(log, policy, spec, xi, env, feedback) -> tuple[np.ndarray, ...]
         policy.observe_epoch(pulls, successes)
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
-            epochs = log.epochs = table[: st.h + 1].copy()
-            lengths = np.diff(epochs.t_start, append=horizon + 1)
-            return np.arange(st.h + 1, dtype=np.int32).repeat(lengths), epochs.x, lengths
+            log.epochs = table[: st.h + 1].copy()
+            return
         policy.close_epoch()
         lo = hi
 
@@ -461,16 +454,15 @@ def _first_target_hit(arms: np.ndarray, need: np.ndarray) -> int:
     return int(order[nth[reached]].min())
 
 
-def _play_per_round(log, policy, spec, env, feedback) -> tuple[np.ndarray, ...]:
+def _play_per_round(log, policy, spec, env, feedback) -> None:
     """Per-round baseline: each pick depends on the rewards seen so far.
     Its strategy is the one-hot of the pick, so the key is the arm.
 
     The picks read a boolean (T, K) reward table (a True reward adds
     exactly 1.0), finished from the streams' absorb-ready states; the
-    played arms' feedback is then drawn as the epoch
-    engine draws it, for the (round, arm) pairs played, straight into
-    the trial's ``feedback`` table.  Returns the per-round keys, the
-    strategy per key and the rounds per key.
+    played arms' feedback is then drawn as the epoch engine draws it,
+    for the (round, arm) pairs played, straight into the trial's
+    ``feedback`` table, and the log gets an empty epoch table.
     """
     rnd_words = round_words(log.horizon)
     streams = FeedbackStreams(spec, env)
@@ -483,7 +475,6 @@ def _play_per_round(log, policy, spec, env, feedback) -> tuple[np.ndarray, ...]:
     log.actions[:] = picks
     streams.draw(log.actions, rnd_words, out=feedback)
     log.epochs = _epoch_table(0, spec.k, spec.m)
-    return log.actions, np.eye(spec.k), np.bincount(log.actions, minlength=spec.k)
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
@@ -634,9 +625,10 @@ def _rounds_rows(trial_idx: int, log: TrialLog):
 
     The strategy, regret and violation cells depend on the round only
     through its strategy key, so each is formatted once per key and
-    gathered through ``log.keys``.
+    gathered through each round's key, ``per_round`` of the key indices.
     """
-    keys = log.keys.tolist()
+    strategies = log.strategies.tolist()
+    keys = log.per_round(np.arange(len(strategies))).tolist()
 
     def by_key(cells):
         return map(cells.__getitem__, keys)
@@ -649,7 +641,7 @@ def _rounds_rows(trial_idx: int, log: TrialLog):
         map(str, range(1, log.horizon + 1)),
         map(str, log.epoch_of_round.tolist()),
         map(str, log.actions.tolist()),
-        by_key([";".join(map(repr, x)) for x in log.strategies.tolist()]),
+        by_key([";".join(map(repr, x)) for x in strategies]),
         *(map(signal_cell, signal) for signal in signals),
         *(by_key(list(map(repr, column))) for column in per_key),
     )

@@ -16,20 +16,20 @@ pure function of (key, counter).
 Absorbing a field mixes its value into a word and then mixes that word
 into the state, so both halves can be shared.  ``field_words`` mixes the
 words of a field once, as a table; ``label_states`` absorbs the label
-prefix (purpose, epoch, arm, cons) over a grid of its fields;
-``absorb_words`` and ``finish_uniforms`` absorb word tables into states
-and read the first uniform.  ``first_uniforms`` is the composition for
-a whole label grid.
-Trials tabulate the prefixes, already offset for their next absorb
-(``absorb_ready``), and the words they reuse, so a draw
-(``finish_ready_bits``) costs one XOR and two mixes, all in place
-through one temporary array.
-The round words of rounds 1..T are one read-only table per horizon,
-``round_words(T)``, shared by every trial at that horizon.
+prefix (purpose, epoch, arm, cons) over a grid of its fields.  Every
+read of a first uniform goes through one finisher: ``absorb_ready``
+offsets the states for their next absorb, and ``finish_ready_bits``
+absorbs a last word table into them and reads the 53-bit numerators,
+at a cost of one XOR and two mixes, all in place through one temporary
+array.  ``finish_uniforms`` scales those to uniforms, and
+``first_uniforms`` is the composition for a whole label grid.  Trials
+tabulate the ready prefixes and the words they reuse; the round words
+of rounds 1..T are one read-only table per horizon, ``round_words(T)``,
+shared by every trial at that horizon.
 
 A first uniform is n / 2^53 for the 53-bit integer n that
-``finish_bits`` returns.  Both n / 2^53 and μ · 2^53 are exact, so a
-Bernoulli(μ) signal ``u < μ`` is realized exactly by the integer
+``finish_ready_bits`` returns.  Both n / 2^53 and μ · 2^53 are exact,
+so a Bernoulli(μ) signal ``u < μ`` is realized exactly by the integer
 compare ``n < ceil(μ · 2^53)``, with a threshold computed once per
 table of means; μ = 0 never fires and μ = 1 always does.
 """
@@ -47,9 +47,7 @@ __all__ = [
     "StreamLabel",
     "UniformStream",
     "absorb_ready",
-    "absorb_words",
     "field_words",
-    "finish_bits",
     "finish_ready_bits",
     "finish_uniforms",
     "first_uniforms",
@@ -242,28 +240,6 @@ def field_words(value, name: str):
     return _mix_u64(word ^ _U_DOMAIN)
 
 
-def absorb_words(states, words) -> np.ndarray:
-    """Absorb pre-mixed field words into stream states (broadcasting).
-
-    States may be python ints.  The result is a fresh uint64 array of
-    the broadcast shape (0-d when both are scalars), mixed in place.
-    """
-    return _mix_u64(_xor_words(states, words))
-
-
-def _xor_words(states, words) -> np.ndarray:
-    """(states + golden) ^ words, an absorb before its mix.  The golden
-    offset is added over the states' shape, so the result is the only
-    array allocated at the broadcast shape."""
-    states = np.asarray(states, dtype=np.uint64)
-    z = np.add(states, _U_GOLDEN, out=np.empty_like(states))
-    if np.broadcast(z, words).shape == z.shape:
-        z ^= words
-    else:  # the words widen the grid
-        z = z ^ words
-    return z
-
-
 def _read_bits(z) -> np.ndarray:
     """Finish an absorb whose words are XORed in but not yet mixed, in
     place: its mix, then the counter-1 read (add golden, mix, keep the
@@ -276,31 +252,27 @@ def _read_bits(z) -> np.ndarray:
     return z
 
 
-def finish_bits(states, words) -> np.ndarray:
-    """Absorb one last field of pre-mixed words, then read the 53-bit
-    integer n of each stream's first uniform n / 2^53 (its counter-1
-    value).  Broadcasting as in ``absorb_words``.  A Bernoulli(μ) signal
-    is ``n < ceil(μ · 2^53)``, exactly ``u < μ`` (module docstring)."""
-    return _read_bits(_xor_words(states, words))
-
-
-def absorb_ready(states) -> np.ndarray:
-    """States plus the golden offset: the half of an absorb that depends
-    only on the state, kept by callers that finish the same states with
-    many word tables (``finish_ready_bits``)."""
+def absorb_ready(states):
+    """States (python ints allowed) plus the golden offset: the half of
+    an absorb that depends only on the state, kept by callers that
+    finish the same states with many word tables."""
     return np.add(np.asarray(states, dtype=np.uint64), _U_GOLDEN)
 
 
-def finish_ready_bits(ready: np.ndarray, words) -> np.ndarray:
-    """``finish_bits`` of the states whose ``absorb_ready`` table is
-    ``ready`` (an array of at least one dimension): the words are XORed
-    into one fresh array of the broadcast shape, with no shape probe."""
-    return _read_bits(np.bitwise_xor(ready, words))
+def finish_ready_bits(ready, words) -> np.ndarray:
+    """Absorb one last field of pre-mixed words into the states whose
+    ``absorb_ready`` table is ``ready`` (broadcasting), then read the
+    53-bit integer n of each stream's first uniform n / 2^53 (its
+    counter-1 value): a fresh uint64 array, 0-d when both inputs are.
+    A Bernoulli(μ) signal is ``n < ceil(μ · 2^53)``, exactly ``u < μ``
+    (module docstring)."""
+    # a ufunc over 0-d operands gives a scalar, which cannot mix in place
+    return _read_bits(np.asarray(np.bitwise_xor(ready, words)))
 
 
 def finish_uniforms(states, words) -> np.ndarray:
-    """The first uniform of each stream, as ``finish_bits`` / 2^53."""
-    u = finish_bits(states, words).astype(np.float64)
+    """The first uniform of each stream, ``finish_ready_bits`` / 2^53."""
+    u = finish_ready_bits(absorb_ready(states), words).astype(np.float64)
     u /= _TWO53
     return u
 
@@ -345,9 +317,8 @@ def label_states(
         state = _absorb_int(state, _field_word(value, name))
     else:
         return state
-    state = np.asarray(state, dtype=np.uint64)
     for value, name in fields[i:]:
-        state = absorb_words(state, field_words(value, name))
+        state = _mix_u64(np.asarray(absorb_ready(state) ^ field_words(value, name)))
     return state
 
 

@@ -5,14 +5,15 @@ import pytest
 
 from repmab.algorithms import (
     ConfigError,
+    _solve_optimistic,
     ceil_log2,
     epoch_budget,
     make_policy,
     mixing_coefficient,
-    optimistic_strategy,
 )
 from repmab.environment import instance_from_dict, solve_oracle
 from repmab.harness import run_trial
+from repmab.polytope import SimplexPolytopeLP
 from repmab.randomness import RandomSource
 
 
@@ -122,16 +123,16 @@ def test_debora_s_initial_strategy_is_arm_zero(reference_soft):
 
 
 def test_optimistic_strategy_lp_example():
-    x, fallback = optimistic_strategy(
-        np.array([0.9, 0.5]), np.array([[0.8, 0.2]]), np.array([0.5])
+    x, fallback = _solve_optimistic(
+        SimplexPolytopeLP(np.array([0.9, 0.5]), np.array([[0.8, 0.2]]), np.array([0.5]))
     )
     assert not fallback
     assert np.allclose(x, [0.5, 0.5], atol=1e-9)
 
 
 def test_optimistic_strategy_fallback_on_empty_region():
-    x, fallback = optimistic_strategy(
-        np.array([0.9, 0.5]), np.array([[1.0, 1.0]]), np.array([0.5])
+    x, fallback = _solve_optimistic(
+        SimplexPolytopeLP(np.array([0.9, 0.5]), np.array([[1.0, 1.0]]), np.array([0.5]))
     )
     assert fallback
     assert np.array_equal(x, [1.0, 0.0])

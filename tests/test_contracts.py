@@ -128,3 +128,20 @@ def test_exported_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("algo", ["debora", "debora-s", "debora-h", "ucb1"])
+def test_log_holds_only_actions_and_feedback_per_round(hard_slater, algo):
+    """A log's T-long arrays are its actions (int32) and the rows of its
+    boolean feedback table: 4 + (m+1) bytes a round, and nothing the log
+    could derive, such as the key of each round."""
+    horizon = 2000
+    log = run_trial(hard_slater, algo, 5, 6, delta=0.05, rho=0.2, horizon=horizon)
+    per_round = {
+        name: value.nbytes
+        for name, value in vars(log).items()
+        if isinstance(value, np.ndarray) and horizon in value.shape
+    }
+    m = hard_slater.m
+    assert per_round == {"actions": 4 * horizon, "rewards": horizon, "costs": m * horizon}
+    assert sum(per_round.values()) == horizon * (4 + m + 1)

@@ -277,12 +277,20 @@ def test_trial_invariants_on_random_instances(spec, seeds):
             == sum(not (spec.cost_means @ x <= spec.thresholds + SAFETY_TOL).all() for x in strategies)
             and log.unsafe_rounds == np.count_nonzero(log.per_round(log.unsafe))
         )
-        # expanding the per-key tables by run length gives their gathers
-        # through the keys, and the totals add those gathers bit for bit
-        keys = log.keys
+        # the per-round expansions are the per-key tables gathered through
+        # each round's key, built here without per_round: the epoch that
+        # started last at or before the round, or the arm the baseline
+        # pulled; the totals add those gathers bit for bit
+        if algo == "ucb1":
+            keys, epoch_of_round, table = log.actions, np.arange(spec.horizon), np.eye(spec.k)
+        else:
+            rounds = np.arange(1, spec.horizon + 1)
+            keys = np.searchsorted(log.epochs.t_start, rounds, side="right") - 1
+            epoch_of_round, table = log.epochs.h[keys], log.epochs.x
+        assert np.array_equal(log.epoch_of_round, epoch_of_round)
         assert np.array_equal(log.inst_regret, log.regret[keys])
         assert np.array_equal(log.inst_violation, log.violation.take(keys, axis=1))
-        assert np.array_equal(strategies, log.strategies[keys])
+        assert np.array_equal(strategies, table[keys])
         assert log.regret_total == float(np.sum(log.regret[keys]))
         if spec.m:
             gathered = log.violation.take(keys, axis=1)
@@ -383,17 +391,14 @@ def _hand_built_log(sequence, cuts=(), baseline=False):
                   rewards=np.zeros(horizon, bool), costs=np.zeros((0, horizon), bool))
     if baseline:
         actions = np.array([_ARM_OF[i] for i in sequence], dtype=np.int32)
-        return harness.TrialLog(actions=actions, epochs=harness._epoch_table(0, 3, 0),
-                                keys=actions, strategies=np.eye(3), **common)
+        return harness.TrialLog(actions=actions, epochs=harness._epoch_table(0, 3, 0), **common)
     changes = np.flatnonzero(np.diff(sequence)) + 2
     starts = np.unique(np.concatenate([[1], changes, np.asarray(cuts, dtype=int)]))
     epochs = harness._epoch_table(starts.size, 3, 0)
     epochs.h = np.arange(starts.size)
     epochs.t_start = starts
     epochs.x = _PALETTE[sequence[starts - 1]]
-    keys = np.arange(starts.size, dtype=np.int32).repeat(np.diff(starts, append=horizon + 1))
-    return harness.TrialLog(actions=np.zeros(horizon, np.int32), epochs=epochs, keys=keys,
-                            strategies=epochs.x, **common)
+    return harness.TrialLog(actions=np.zeros(horizon, np.int32), epochs=epochs, **common)
 
 
 def test_same_strategy_sequence_merges_split_epochs():

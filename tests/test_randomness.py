@@ -13,8 +13,9 @@ from repmab.randomness import (
     StreamLabel,
     _mix_int,
     _mix_u64,
+    absorb_ready,
     field_words,
-    finish_bits,
+    finish_ready_bits,
     finish_uniforms,
     first_uniforms,
     index_from_cdf,
@@ -135,7 +136,7 @@ def test_finish_bits_are_the_uniforms_numerators():
     src = RandomSource(17)
     states = label_states(src, "env-cost", arm=np.arange(3), cons=np.arange(2)[:, None])
     words = field_words(np.arange(1, 6), "rnd")[:, None, None]
-    bits = finish_bits(states, words)
+    bits = finish_ready_bits(absorb_ready(states), words)
     assert bits.dtype == np.uint64 and bits.shape == (5, 2, 3)
     assert (bits < 2**53).all()
     assert np.array_equal(bits / 2.0**53, finish_uniforms(states, words))
