@@ -132,9 +132,11 @@ class _EpochDoublingPolicy:
     """Shared machinery: counts, success sums, doubling targets, closes.
 
     The strategy is frozen between closes, so the trial engine plays a
-    whole epoch at a time and reports it through ``observe_epoch``.  An
-    epoch ends at the first round where some arm's pull count reaches
-    its target, twice its count at the epoch start.
+    whole epoch at a time: it adds the pulls per arm to ``state.counts``
+    and, before any close that reads them, the 1s each tracked signal
+    gave per arm to ``sums``.  An epoch ends at the first round where
+    some arm's pull count reaches its target, twice its count at the
+    epoch start.
 
     Tracked signals are indexed by row: row 0 is the reward and row i+1
     the cost of constraint i.
@@ -178,14 +180,6 @@ class _EpochDoublingPolicy:
         self._offsets = None
         self.last_fallback = False
         self._select()
-
-    def observe_epoch(self, pulls: np.ndarray, successes: np.ndarray) -> None:
-        """Fold in one epoch's sufficient statistics: ``pulls``, (K,),
-        the pulls of each arm, and ``successes``, (m+1, K), the 1s each
-        tracked signal gave on each arm, reward in row 0 and costs below.
-        Nothing else of the epoch is read."""
-        self.state.counts += pulls
-        self.sums += successes
 
     # -- epoch boundary -----------------------------------------------
 

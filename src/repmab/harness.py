@@ -6,24 +6,20 @@ from two separate labeled-stream roots, so paired trials can fix the
 former while redrawing the latter.  The replicable policies freeze
 their strategy between epoch closes, so their trials are resolved an
 epoch at a time with array operations.  An epoch whose strategy has one
-positive-mass arm, whichever policy chose it, is resolved in closed
-form: its length from that arm's doubling target, its feedback from
-the arm's streams against the epoch's round words, its success counts
-by counting along the rounds.  Any other epoch takes its actions from
-the labeled per-round action uniforms (drawn only once some strategy
-has two positive-mass arms), its end from the first doubling target
-hit, and feedback only for the (round, arm) pairs played.  Either way
-the policy is handed only the epoch's pulls per arm and successes per
-signal and arm.  Estimates are refreshed once per epoch, and the label
-work that every epoch would repeat is tabulated: the feedback label
-prefixes once per trial, the round words once per horizon.  Only the
-per-round UCB1 baseline loops over rounds in Python, and only to pick
-and observe; its feedback comes from the same labeled streams.
+positive-mass arm, whichever policy chose it, lasts until that arm's
+doubling target; any other takes its actions from the labeled per-round
+action uniforms (drawn only once some strategy has two positive-mass
+arms) up to the first target hit.  The label work that every epoch
+would repeat is tabulated: the feedback label prefixes once per trial,
+the round words once per horizon.  Only the per-round UCB1 baseline
+loops over rounds in Python, to pick and observe.
 
-A trial's realized feedback is one boolean (m+1, T) table, reward in
-row 0 and the cost of constraint i in row i+1, whose rows are the log's
-``rewards`` and ``costs``.  Every draw writes its signals, one byte
-each, straight into the columns of the rounds it covers.
+An epoch trial is a schedule (epoch table and actions) and feedback,
+which ``_draw`` draws only when a close can read it or the trial ends,
+writing each signal's byte into one boolean (m+1, T) table whose rows
+are the log's ``rewards`` and ``costs``.  While no close can read data
+(ζ(T) > 1) the schedule depends on the algorithm seed alone, so the
+second trial of a pair replays it.
 
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
@@ -49,6 +45,9 @@ its key are formatted once per key and gathered through the keys.
 
 from __future__ import annotations
 
+import bisect
+import copy
+import functools
 import itertools
 import json
 import math
@@ -65,6 +64,7 @@ from .environment import (
     OracleSolution,
     solve_oracle,
 )
+from .estimator import confidence_widths
 from .randomness import (
     RandomSource,
     StreamLabel,
@@ -255,14 +255,17 @@ def run_trial(
     """Play one trial of ``algo`` on ``spec`` for T rounds.
 
     Deterministic in the full argument tuple; two calls with equal
-    arguments produce bit-identical logs.
+    arguments produce bit-identical logs.  When ζ(T) > 1 the log, less
+    its per-round arrays, is kept for the next trial with equal arguments
+    but ``env_seed``, which replays it and draws only its own feedback.
     """
     horizon = spec.horizon if horizon is None else int(horizon)
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     if oracle is None:
         oracle = solve_oracle(spec)
     xi = RandomSource(xi_seed)
     env = RandomSource(env_seed)
-    policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
     # one row per signal, reward first; the draws write straight into it
     feedback = np.empty((spec.m + 1, horizon), dtype=bool)
     log = TrialLog(
@@ -276,12 +279,45 @@ def run_trial(
         rewards=feedback[0],
         costs=feedback[1:],
     )
+    key = (algo, xi_seed, delta, rho, horizon, spec.k, spec.m, oracle.opt_value, oracle.lambda_min)
+    arrays = (spec.reward_means, spec.cost_means, spec.thresholds,
+              oracle.x_star, oracle.x_diamond, oracle.lam)
+    held = _schedules(key + tuple(a.tobytes() for a in arrays))
+    if held:
+        _replay(log, held, xi, FeedbackStreams(spec, env), feedback)
+        return log
+    policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
     if isinstance(policy, Ucb1):
+        n_read = 1  # every pick reads the rewards
         _play_per_round(log, policy, spec, env, feedback)
     else:
-        _play_epochs(log, policy, spec, xi, env, feedback)
+        n_read = _reading_count(policy.state, horizon)
+        _play_epochs(log, policy, spec, xi, env, feedback, n_read)
     _gather(log, spec, oracle)
+    if n_read > horizon:
+        held.update((name, copy.copy(getattr(log, name))) for name in _SCHEDULE_FIELDS)
     return log
+
+
+# what a kept schedule holds of a log: no per-round array, nothing keyed
+_SCHEDULE_FIELDS = (
+    "epochs", "regret", "violation", "unsafe", "regret_total", "violation_total", "epoch_count",
+    "fallback_count", "unsafe_rounds", "any_unsafe", "clean_all", "containment_ok",
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _schedules(key: tuple) -> dict:
+    """The kept schedule of the trials ``key`` names, empty until one is
+    stored; asking for a new key drops the old entry before play."""
+    return {}
+
+
+def _reading_count(st, horizon: int) -> int:
+    """The least count n with ``confidence_widths(n)`` at most 1, by
+    bisection (the widths never rise with n), or T+1 if there is none."""
+    narrow = lambda n: confidence_widths(n, st.delta_prime, st.rho_prime) <= 1.0  # noqa: E731
+    return 1 + bisect.bisect_left(range(1, horizon + 1), True, key=narrow)
 
 
 def _gather(log, spec, oracle) -> None:
@@ -340,39 +376,31 @@ def _judge_epochs(epochs: np.recarray, spec, oracle) -> None:
     epochs.contains_x_star = (pessimistic <= spec.thresholds[:m] + SAFETY_TOL).all(axis=1)
 
 
-def _play_epochs(log, policy, spec, xi, env, feedback) -> None:
+def _play_epochs(log, policy, spec, xi, env, feedback, n_read) -> None:
     """Epoch policies: the strategy is frozen between closes, so each
-    epoch is resolved as a whole and reported to the policy only through
-    its sufficient statistics, the pulls per arm and the successes per
-    tracked signal and arm.  Fills the log's actions and epoch table,
-    in which an epoch's row index is its strategy key.
+    epoch is resolved as a whole: its row of the epoch table (the row
+    index is its strategy key), its actions (a fill for a one-hot
+    strategy, which maps every uniform to its arm; else the action
+    uniforms, drawn on first read, up to the first target hit), and its
+    pulls, added to the policy's counts.
 
-    The round words come from the read-only table that every trial at
-    this horizon shares, and serve both the action uniforms and the
-    feedback, whose label-prefix states are tabulated once per trial.
-    Every epoch's feedback is drawn straight into its columns of the
-    trial's boolean (m+1, T) ``feedback`` table.  A strategy with one
-    positive-mass arm plays that arm whatever the uniform, so its epoch
-    is resolved in closed form: it lasts until the arm reaches its
-    target or the horizon, its feedback is the arm's (m+1, 1) state and
-    limit columns (slices, not copies) drawn against the epoch's round
-    words, and its success counts are the ``count_nonzero`` of each
-    signal's row.  Otherwise the actions come
-    from the per-round labeled action uniforms, feedback is drawn for
-    the (round, arm) pairs played, and the statistics are two
-    ``bincount``s.  The T action uniforms are drawn on first read, at
-    the first epoch whose strategy has two positive-mass arms: never in
-    a ``debora`` trial, nor in one whose strategies all stay one-hot.
+    The loop draws no feedback.  Only before a close at which some count
+    reaches ``n_read`` (the least with width ζ at most 1) does ``_draw``
+    fill the undrawn epochs' columns of ``feedback`` and add their
+    successes to ``policy.sums``; the rest is drawn, unfolded, at the
+    end.  This is exact: before then every refreshed cell ζ exceeds 1,
+    and for any mean in [0, 1] and offset >= 0, (mean - offset)/ζ rounds
+    to less than 1, so z = 0 and the estimate is min(offset + ζ/2, 1)
+    bit for bit: stale sums give the same bytes.
     """
     horizon = log.horizon
     k = spec.k
-    rows = policy.m + 1  # the signals the policy tracks: reward, then its costs
-    row_offsets = k * np.arange(rows)[:, None]
     rnd_words = round_words(horizon)
     action_u = None
     streams = FeedbackStreams(spec, env)
     table = _epoch_table(epoch_budget(k, horizon) + 1, k, policy.m)
     st = policy.state
+    first = 0  # the first epoch whose feedback is not drawn yet
     lo = 0  # rounds lo+1..hi form the current epoch
     while True:
         x = validate_strategy(st.x_current)
@@ -386,28 +414,75 @@ def _play_epochs(log, policy, spec, xi, env, feedback) -> None:
             arm = support[0]
             hi = lo + min(int(need[arm]), horizon - lo)
             log.actions[lo:hi] = arm
-            drawn = streams.draw(slice(arm, arm + 1), rnd_words[lo:hi], out=feedback[:, lo:hi])
-            pulls = np.zeros(k, dtype=np.int64)
-            pulls[arm] = hi - lo
-            successes = np.zeros((rows, k))
-            successes[:, arm] = [np.count_nonzero(signal) for signal in drawn[:rows]]
+            st.counts[arm] += hi - lo
         else:
             if action_u is None:
                 action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
             arms = _epoch_actions(x, support, need, action_u, lo, horizon)
             hi = lo + arms.size
             log.actions[lo:hi] = arms
-            drawn = streams.draw(arms, rnd_words[lo:hi], out=feedback[:, lo:hi])
-            pulls = np.bincount(arms, minlength=k)
-            cells = (arms + row_offsets).ravel()
-            successes = np.bincount(cells, drawn[:rows].ravel(), rows * k).reshape(rows, k)
-        policy.observe_epoch(pulls, successes)
+            st.counts += np.bincount(arms, minlength=k)
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
             log.epochs = table[: st.h + 1].copy()
+            _draw(log.epochs[first:], hi, log, streams, rnd_words, feedback)
             return
+        if st.counts.max() >= n_read:
+            _draw(table[first : st.h + 1], hi, log, streams, rnd_words, feedback, policy.sums)
+            first = st.h + 1
         policy.close_epoch()
         lo = hi
+
+
+# the most rounds one draw of merged multi-arm epochs spans (its fixed cost is
+# about 27 us; one over a whole T=1e6 debora-h trial tripled its peak memory)
+_RUN_ROUNDS = 4096
+
+
+def _draw(epochs, end, log, streams, rnd_words, feedback, sums=None) -> None:
+    """Draw the feedback of ``epochs``, consecutive epoch-table rows
+    whose last ends at round ``end``, into ``feedback``; given ``sums``,
+    (rows, K), add the successes of the first ``rows`` signals per arm.
+    A one-arm epoch draws its arm's state columns (slices) and counts
+    along the rounds; a run of multi-arm epochs, up to ``_RUN_ROUNDS``
+    rounds, draws the pairs ``log`` played in one gather and one ``bincount``."""
+    bounds = (epochs.t_start - 1).tolist() + [end]
+    x = epochs.x  # each epoch's one positive-mass arm or -1, then a sentinel ending the last run
+    arms = np.where(np.count_nonzero(x, axis=1) == 1, x.argmax(axis=1), -1).tolist() + [0]
+    lo = bounds[0]
+    for e, arm in enumerate(arms[:-1]):
+        hi = bounds[e + 1]
+        if arm < 0 and arms[e + 1] < 0 and bounds[e + 2] - lo <= _RUN_ROUNDS:
+            continue  # the run goes on into the next epoch
+        played = slice(arm, arm + 1) if arm >= 0 else log.actions[lo:hi]
+        drawn = streams.draw(played, rnd_words[lo:hi], out=feedback[:, lo:hi])
+        if sums is not None and arm >= 0:
+            sums[:, arm] += [np.count_nonzero(signal) for signal in drawn[: len(sums)]]
+        elif sums is not None:
+            rows, k = sums.shape
+            cells = (played + k * np.arange(rows)[:, None]).ravel()
+            sums += np.bincount(cells, drawn[:rows].ravel(), rows * k).reshape(rows, k)
+        lo = hi
+
+
+def _replay(log, held, xi, streams, feedback) -> None:
+    """Fill ``log`` from a kept schedule: copies of its fields, actions
+    rebuilt from the epoch table as play resolved them, one flush."""
+    for name, value in held.items():
+        setattr(log, name, copy.copy(value))
+    epochs = log.epochs
+    rnd_words = round_words(log.horizon)
+    action_u = None
+    bounds = (epochs.t_start - 1).tolist() + [log.horizon]
+    for lo, hi, x in zip(bounds, bounds[1:], epochs.x):
+        support = x.nonzero()[0]
+        if support.size == 1:
+            log.actions[lo:hi] = support[0]
+            continue
+        if action_u is None:
+            action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
+        log.actions[lo:hi] = index_from_cdf(x.cumsum(), action_u[lo:hi])
+    _draw(epochs, log.horizon, log, streams, rnd_words, feedback)
 
 
 # the first chunk of action uniforms a multi-arm epoch maps: on K=50

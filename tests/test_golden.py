@@ -30,6 +30,7 @@ from repmab.environment import (
     load_instance,
     solve_oracle,
 )
+from repmab.estimator import confidence_widths
 from repmab.harness import run_trial
 from repmab.randomness import RandomSource, first_uniforms, index_from_cdf, validate_strategy
 
@@ -318,12 +319,76 @@ def test_trial_invariants_on_random_instances(spec, seeds):
         if algo == "debora-h" and spec.m:
             cap = 1.0 / (1.0 + oracle.lambda_min)
             assert all(0.0 <= rec.sigma <= cap for rec in log.epochs)
-        # the epoch folds, one-arm and multi-arm, add up to the whole log
+        # every epoch's pulls add up to the whole log; successes are
+        # folded only before a close that reads data, so with c the
+        # counts over the rounds before the final epoch, the sums are
+        # the log's successes over those rounds if zeta(max c) <= 1, and
+        # all zero otherwise
         (policy,) = policies
         played = log.actions == np.arange(spec.k)[:, None]
         signals = np.vstack([log.rewards, log.costs[: policy.m]])
         assert np.array_equal(policy.state.counts, played.sum(axis=1))
-        assert np.array_equal(policy.sums, [[row[arm].sum() for arm in played] for row in signals])
+        before = log.epochs.t_start[-1] - 1
+        c = played[:, :before].sum(axis=1)
+        st_ = policy.state
+        if confidence_widths(c.max(), st_.delta_prime, st_.rho_prime) <= 1.0:
+            successes = [[row[:before][arm[:before]].sum() for arm in played] for row in signals]
+        else:
+            successes = np.zeros_like(policy.sums)
+        assert np.array_equal(policy.sums, successes)
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_READING = instance_from_dict(
+    {"K": 1, "m": 0, "reward_means": [0.8151], "cost_means": [], "thresholds": [], "horizon": 100_000}
+)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=instances(),
+    algo=st.sampled_from(["debora", "debora-s", "debora-h"]),
+    horizon=st.integers(1, 100_000),
+    delta_rho=st.sampled_from([(0.05, 0.2), (0.01, 0.9)]),
+    seeds=st.tuples(_U64, _U64, _U64),
+)
+@example(spec=_READING, algo="debora", horizon=100_000, delta_rho=(0.01, 0.9), seeds=(11, 12, 14))
+def test_epoch_tables_read_no_data_while_widths_exceed_one(spec, algo, horizon, delta_rho, seeds):
+    """While every cell a close refreshes is wider than 1, the estimates
+    snap to min(offset + width/2, 1) whatever the data, so one algorithm
+    seed with two environment seeds gives epoch tables equal in every
+    column up to the first close that refreshes a cell of width at most
+    1 (bounded here by the first row with some width at most 1), and
+    equal throughout when no close does.
+
+    The property is checked on eager trials, whose successes are folded
+    before every close (a reading count of 1), so a policy that read
+    data too early would break it; each lazy trial, folding only before
+    closes that can read data, must equal its eager twin.  The schedule
+    cache is emptied before each trial, so every trial plays."""
+    oracle = solve_oracle(spec)
+    xi, *envs = seeds
+    kwargs = dict(delta=delta_rho[0], rho=delta_rho[1], horizon=horizon, oracle=oracle)
+    tables = []
+    for env in envs:
+        harness._schedules.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(harness, "_reading_count", lambda state, horizon: 1)
+                eager = run_trial(spec, algo, xi, env, **kwargs)
+        except ConfigError:
+            assert algo == "debora-h" and not oracle.lambda_min > 0.0
+            return
+        harness._schedules.cache_clear()
+        lazy = run_trial(spec, algo, xi, env, **kwargs)
+        assert eager.equals(lazy) and eager.regret_total == lazy.regret_total
+        tables.append(eager.epochs)
+    a, b = tables
+    reads = np.flatnonzero(a.zeta.min(axis=1) <= 1.0)
+    if reads.size:
+        assert np.array_equal(a[: reads[0]], b[: reads[0]])
+    else:
+        assert np.array_equal(a, b)
 
 
 # -- strategy sequences ---------------------------------------------------

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repmab import harness
+from repmab.algorithms import ALGORITHM_NAMES, make_policy
 from repmab.environment import instance_from_dict, solve_oracle
 from repmab.harness import (
     aggregate_and_export,
@@ -16,7 +18,9 @@ from repmab.randomness import round_words
 def test_replay_invariance_bit_identical(reference_soft):
     kwargs = dict(delta=0.05, rho=0.2, horizon=800)
     for algo in ("debora", "debora-s", "debora-h", "ucb1"):
+        harness._schedules.cache_clear()  # so both play: b would replay a
         a = run_trial(reference_soft, algo, 123, 456, **kwargs)
+        harness._schedules.cache_clear()
         b = run_trial(reference_soft, algo, 123, 456, **kwargs)
         assert a.equals(b), algo
 
@@ -26,9 +30,11 @@ def test_horizon_switches_reuse_no_stale_round_words(reference_soft):
     holds one horizon) equal fresh runs on an emptied table."""
     kwargs = dict(delta=0.05, rho=0.2)
     runs = [(algo, horizon) for horizon in (700, 300, 700) for algo in ("debora-h", "ucb1")]
+    harness._schedules.cache_clear()
     logs = [run_trial(reference_soft, algo, 7, 8, horizon=horizon, **kwargs) for algo, horizon in runs]
     for (algo, horizon), log in zip(runs, logs):
         round_words.cache_clear()
+        harness._schedules.cache_clear()
         assert log.equals(run_trial(reference_soft, algo, 7, 8, horizon=horizon, **kwargs))
 
 
@@ -106,9 +112,8 @@ def test_action_uniforms_drawn_only_when_read(request, monkeypatch, instance, al
     """One-hot strategies read no action uniform, so a trial whose every
     strategy is one-hot (debora always; debora-s while its widths exceed
     1) never draws them, and a sampling trial draws them once."""
-    from repmab import harness
-
     spec = request.getfixturevalue(instance)
+    harness._schedules.cache_clear()  # an earlier test may hold this schedule
     finish_uniforms = harness.finish_uniforms
     calls = []
 
@@ -121,6 +126,85 @@ def test_action_uniforms_drawn_only_when_read(request, monkeypatch, instance, al
     if draws == 0:
         assert (np.count_nonzero(log.epochs.x, axis=1) == 1).all()
     assert calls == [2000] * draws
+
+
+_LOG_SCALARS = (
+    "xi_seed", "env_seed", "regret_total", "violation_total", "epoch_count",
+    "fallback_count", "unsafe_rounds", "any_unsafe", "clean_all", "containment_ok",
+)
+
+
+def _same_logs(a, b) -> bool:
+    return a.equals(b) and all(getattr(a, f) == getattr(b, f) for f in _LOG_SCALARS)
+
+
+def _fresh(spec, algo, xi_seed, env_seed, **kwargs):
+    """A trial played on an emptied schedule cache."""
+    harness._schedules.cache_clear()
+    return run_trial(spec, algo, xi_seed, env_seed, **kwargs)
+
+
+@pytest.mark.parametrize("algo", ["debora", "debora-s", "debora-h"])
+@pytest.mark.parametrize(
+    "instance", ["hard_slater", "reference_soft", "reference_unconstrained", "three_arm_gaps"]
+)
+def test_held_schedule_equals_a_fresh_run(request, monkeypatch, instance, algo):
+    """While no close can read data, the second trial of a pair replays
+    the first one's schedule (no policy is made) and draws its own
+    feedback; it equals a trial played on an emptied cache."""
+    spec = request.getfixturevalue(instance)
+    kwargs = dict(delta=0.05, rho=0.2, horizon=3000)
+    _fresh(spec, algo, 41, 1, **kwargs)
+    made = []
+    monkeypatch.setattr(harness, "make_policy", lambda *args: made.append(1) or make_policy(*args))
+    held = run_trial(spec, algo, 41, 2, **kwargs)
+    assert not made
+    assert _same_logs(held, _fresh(spec, algo, 41, 2, **kwargs)) and made
+
+
+def test_reading_trial_is_never_held():
+    """A trial whose closes read data (one arm, delta=0.01, rho=0.9 and
+    T=1e5, the case of test_golden.py's offset digest) is never served
+    from the cache.  The mean sits on a cell boundary of the last close
+    for algorithm seed 11, so environment seeds 12 and 14 end in
+    different estimates; the second trial equals a fresh run."""
+    spec = instance_from_dict(
+        {"K": 1, "m": 0, "reward_means": [0.8151], "cost_means": [], "thresholds": [], "horizon": 100_000}
+    )
+    kwargs = dict(delta=0.01, rho=0.9)
+    first = _fresh(spec, "debora", 11, 12, **kwargs)
+    second = run_trial(spec, "debora", 11, 14, **kwargs)
+    assert not np.array_equal(first.epochs.r_hat, second.epochs.r_hat)
+    assert _same_logs(second, _fresh(spec, "debora", 11, 14, **kwargs))
+
+
+def _tamper(log) -> None:
+    """Change one entry of every array a log holds."""
+    columns = [log.epochs[name] for name in log.epochs.dtype.names]
+    for arr in [log.actions, log.rewards, log.costs, log.regret, log.violation, log.unsafe, *columns]:
+        arr.flat[0] = ~arr.flat[0] if arr.dtype == bool else arr.flat[0] + 1
+
+
+def test_held_schedule_shares_no_array_with_returned_logs(reference_soft):
+    """Logs returned by the trial that stored a schedule and by one that
+    replayed it can be changed in place without reaching the next replay."""
+    kwargs = dict(delta=0.05, rho=0.2, horizon=2000)
+    _tamper(_fresh(reference_soft, "debora-h", 9, 1, **kwargs))
+    _tamper(run_trial(reference_soft, "debora-h", 9, 2, **kwargs))
+    held = run_trial(reference_soft, "debora-h", 9, 3, **kwargs)
+    assert _same_logs(held, _fresh(reference_soft, "debora-h", 9, 3, **kwargs))
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+@pytest.mark.parametrize("algo", ALGORITHM_NAMES)
+def test_horizon_below_one_is_rejected_before_any_work(reference_soft, monkeypatch, algo, horizon):
+    def no_work(*args):
+        raise AssertionError("work began before the horizon was checked")
+
+    monkeypatch.setattr(harness, "solve_oracle", no_work)
+    monkeypatch.setattr(harness, "make_policy", no_work)
+    with pytest.raises(ValueError, match=f"horizon must be at least 1, got {horizon}"):
+        run_trial(reference_soft, algo, 1, 2, delta=0.05, rho=0.2, horizon=horizon)
 
 
 def test_feedback_is_the_table_entry_of_the_played_arm(reference_soft):
