@@ -120,12 +120,13 @@ def mixing_coefficient(
     excess over (capped excess + safe-strategy margin), and 0 when
     nothing is at risk.
     """
-    at_risk = optimistic_costs > thresholds
-    if not at_risk.any():
-        return 0.0
-    capped = np.minimum(optimistic_costs[at_risk], 1.0)
-    excess = capped - thresholds[at_risk]
-    return float((excess / (excess + margins[at_risk])).max())
+    ratios = []  # the same float operations as numpy's, one constraint at a time
+    rows = zip(optimistic_costs.tolist(), thresholds.tolist(), margins.tolist())
+    for cost, bound, margin in rows:
+        if cost > bound:  # at risk
+            excess = min(cost, 1.0) - bound
+            ratios.append(excess / (excess + margin))
+    return max(ratios, default=0.0)
 
 
 class _EpochDoublingPolicy:

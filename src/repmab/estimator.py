@@ -120,5 +120,5 @@ def confidence_widths(
     never-sampled arms keep a width of at least the single-sample radius.
     """
     numerator, spread = _width_constants(delta_prime, rho_prime)
-    n = np.maximum(np.asarray(counts, dtype=np.float64), 1.0)
+    n = np.maximum(counts, 1.0)
     return np.sqrt(numerator / (n * spread))

@@ -19,7 +19,8 @@ which ``_draw`` draws only when a close can read it or the trial ends,
 writing each signal's byte into one boolean (m+1, T) table whose rows
 are the log's ``rewards`` and ``costs``.  While no close can read data
 (ζ(T) > 1) the schedule depends on the algorithm seed alone, so the
-second trial of a pair replays it.
+second trial of a pair replays it.  Both draw and replay work a run of
+consecutive epochs (``_runs``, up to ``_RUN_ROUNDS`` rounds) at a time.
 
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
@@ -259,6 +260,8 @@ def run_trial(
     its per-round arrays, is kept for the next trial with equal arguments
     but ``env_seed``, which replays it and draws only its own feedback.
     """
+    if horizon is not None and not float(horizon).is_integer():
+        raise ValueError(f"horizon must be a whole number of rounds, got {horizon!r}")
     horizon = spec.horizon if horizon is None else int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -314,9 +317,15 @@ def _schedules(key: tuple) -> dict:
 
 
 def _reading_count(st, horizon: int) -> int:
-    """The least count n with ``confidence_widths(n)`` at most 1, by
-    bisection (the widths never rise with n), or T+1 if there is none."""
-    narrow = lambda n: confidence_widths(n, st.delta_prime, st.rho_prime) <= 1.0  # noqa: E731
+    """``_least_reading_count`` of the policy's probability split."""
+    return _least_reading_count(st.delta_prime, st.rho_prime, horizon)
+
+
+@functools.lru_cache(maxsize=16)
+def _least_reading_count(delta_prime: float, rho_prime: float, horizon: int) -> int:
+    """The least count n with ``confidence_widths(n)`` at most 1, or T+1 if
+    there is none, by bisection (the widths never rise with n)."""
+    narrow = lambda n: confidence_widths(n, delta_prime, rho_prime) <= 1.0  # noqa: E731
     return 1 + bisect.bisect_left(range(1, horizon + 1), True, key=narrow)
 
 
@@ -355,7 +364,11 @@ def _gather(log, spec, oracle) -> None:
     log.fallback_count = int(np.count_nonzero(epochs.fallback))
     log.clean_all = bool(epochs.clean.all())
     log.containment_ok = bool(epochs.contains_x_star.all())
-    log.unsafe_rounds = int(np.count_nonzero(log.per_round(log.unsafe)))
+    if len(epochs):  # rounds per key: the epochs' lengths, else the pulls per arm
+        per_key = np.diff(epochs.t_start, append=log.horizon + 1)
+    else:
+        per_key = np.bincount(log.actions, minlength=log.k)
+    log.unsafe_rounds = int(per_key[log.unsafe].sum())
     log.any_unsafe = log.unsafe_rounds > 0
 
 
@@ -387,11 +400,12 @@ def _play_epochs(log, policy, spec, xi, env, feedback, n_read) -> None:
     The loop draws no feedback.  Only before a close at which some count
     reaches ``n_read`` (the least with width ζ at most 1) does ``_draw``
     fill the undrawn epochs' columns of ``feedback`` and add their
-    successes to ``policy.sums``; the rest is drawn, unfolded, at the
-    end.  This is exact: before then every refreshed cell ζ exceeds 1,
-    and for any mean in [0, 1] and offset >= 0, (mean - offset)/ζ rounds
-    to less than 1, so z = 0 and the estimate is min(offset + ζ/2, 1)
-    bit for bit: stale sums give the same bytes.
+    successes to ``policy.sums`` (a check skipped when ``n_read`` exceeds
+    T); the rest is drawn, unfolded, at the end.  This is exact: before
+    then every refreshed cell ζ exceeds 1, and for any mean in [0, 1]
+    and offset >= 0, (mean - offset)/ζ rounds to less than 1, so z = 0
+    and the estimate is min(offset + ζ/2, 1) bit for bit: stale sums
+    give the same bytes.
     """
     horizon = log.horizon
     k = spec.k
@@ -408,16 +422,16 @@ def _play_epochs(log, policy, spec, xi, env, feedback, n_read) -> None:
             st.h, lo + 1, x, st.zeta, st.r_hat, st.g_hat, st.sigma,
             policy.last_fallback, True, True,
         )
-        need = policy.targets - st.counts
         support = x.nonzero()[0]
         if support.size == 1:
             arm = support[0]
-            hi = lo + min(int(need[arm]), horizon - lo)
+            hi = lo + min(int(policy.targets[arm] - st.counts[arm]), horizon - lo)
             log.actions[lo:hi] = arm
             st.counts[arm] += hi - lo
         else:
             if action_u is None:
                 action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
+            need = policy.targets - st.counts
             arms = _epoch_actions(x, support, need, action_u, lo, horizon)
             hi = lo + arms.size
             log.actions[lo:hi] = arms
@@ -427,61 +441,73 @@ def _play_epochs(log, policy, spec, xi, env, feedback, n_read) -> None:
             log.epochs = table[: st.h + 1].copy()
             _draw(log.epochs[first:], hi, log, streams, rnd_words, feedback)
             return
-        if st.counts.max() >= n_read:
+        if n_read <= horizon and st.counts.max() >= n_read:
             _draw(table[first : st.h + 1], hi, log, streams, rnd_words, feedback, policy.sums)
             first = st.h + 1
         policy.close_epoch()
         lo = hi
 
 
-# the most rounds one draw of merged multi-arm epochs spans (its fixed cost is
-# about 27 us; one over a whole T=1e6 debora-h trial tripled its peak memory)
+# the most rounds a run of merged epochs spans (its fixed cost is about
+# 27 us; one over a whole T=1e6 debora-h trial tripled its peak memory)
 _RUN_ROUNDS = 4096
+
+
+def _runs(epochs, end):
+    """Split epoch-table rows, the last ending at round ``end``, into runs
+    of as many rows as fit in ``_RUN_ROUNDS`` rounds, or of one longer
+    epoch.  Yields each run's rounds lo+1..hi, rows, and one arm or -1 per row."""
+    bounds = (epochs.t_start - 1).tolist() + [end]
+    x = epochs.x
+    arms = np.where(np.count_nonzero(x, axis=1) == 1, x.argmax(axis=1), -1)
+    e = 0
+    while e < len(arms):
+        f = max(bisect.bisect_right(bounds, bounds[e] + _RUN_ROUNDS, e + 1) - 1, e + 1)
+        yield bounds[e], bounds[f], slice(e, f), arms[e:f]
+        e = f
 
 
 def _draw(epochs, end, log, streams, rnd_words, feedback, sums=None) -> None:
     """Draw the feedback of ``epochs``, consecutive epoch-table rows
     whose last ends at round ``end``, into ``feedback``; given ``sums``,
     (rows, K), add the successes of the first ``rows`` signals per arm.
-    A one-arm epoch draws its arm's state columns (slices) and counts
-    along the rounds; a run of multi-arm epochs, up to ``_RUN_ROUNDS``
-    rounds, draws the pairs ``log`` played in one gather and one ``bincount``."""
-    bounds = (epochs.t_start - 1).tolist() + [end]
-    x = epochs.x  # each epoch's one positive-mass arm or -1, then a sentinel ending the last run
-    arms = np.where(np.count_nonzero(x, axis=1) == 1, x.argmax(axis=1), -1).tolist() + [0]
-    lo = bounds[0]
-    for e, arm in enumerate(arms[:-1]):
-        hi = bounds[e + 1]
-        if arm < 0 and arms[e + 1] < 0 and bounds[e + 2] - lo <= _RUN_ROUNDS:
-            continue  # the run goes on into the next epoch
-        played = slice(arm, arm + 1) if arm >= 0 else log.actions[lo:hi]
+    A run (``_runs``) that is one one-arm epoch draws its arm's state
+    columns (slices) and counts along the rounds; any other run draws
+    the pairs ``log`` played in one gather and one ``bincount``, exact
+    because the sums are integer counts below 2^53."""
+    for lo, hi, _, arms in _runs(epochs, end):
+        arm = arms[0] if arms.size == 1 and arms[0] >= 0 else None
+        played = log.actions[lo:hi] if arm is None else slice(arm, arm + 1)
         drawn = streams.draw(played, rnd_words[lo:hi], out=feedback[:, lo:hi])
-        if sums is not None and arm >= 0:
+        if sums is not None and arm is not None:
             sums[:, arm] += [np.count_nonzero(signal) for signal in drawn[: len(sums)]]
         elif sums is not None:
             rows, k = sums.shape
             cells = (played + k * np.arange(rows)[:, None]).ravel()
             sums += np.bincount(cells, drawn[:rows].ravel(), rows * k).reshape(rows, k)
-        lo = hi
 
 
 def _replay(log, held, xi, streams, feedback) -> None:
     """Fill ``log`` from a kept schedule: copies of its fields, actions
-    rebuilt from the epoch table as play resolved them, one flush."""
+    rebuilt from the epoch table as play resolved them, one ``_draw``.
+    A run (``_runs``) of one-arm epochs is a fill; any other maps the
+    action uniforms through one ``index_from_cdf`` call, on its one
+    epoch's cdf or on a table of each round's epoch cdf."""
     for name, value in held.items():
         setattr(log, name, copy.copy(value))
     epochs = log.epochs
     rnd_words = round_words(log.horizon)
     action_u = None
-    bounds = (epochs.t_start - 1).tolist() + [log.horizon]
-    for lo, hi, x in zip(bounds, bounds[1:], epochs.x):
-        support = x.nonzero()[0]
-        if support.size == 1:
-            log.actions[lo:hi] = support[0]
+    for lo, hi, rows, arms in _runs(epochs, log.horizon):
+        lengths = np.diff(epochs.t_start[rows], append=hi + 1)
+        if arms.min() >= 0:
+            log.actions[lo:hi] = arms[0] if arms.size == 1 else arms.repeat(lengths)
             continue
         if action_u is None:
             action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
-        log.actions[lo:hi] = index_from_cdf(x.cumsum(), action_u[lo:hi])
+        cdf = epochs.x[rows].cumsum(axis=1)
+        cdf = cdf[0] if arms.size == 1 else cdf.repeat(lengths, axis=0)
+        log.actions[lo:hi] = index_from_cdf(cdf, action_u[lo:hi])
     _draw(epochs, log.horizon, log, streams, rnd_words, feedback)
 
 
@@ -580,23 +606,10 @@ def run_batch(
     horizon: int | None = None,
 ) -> list[TrialLog]:
     """Run ``trials`` independent trials, seeds derived from one master."""
-    oracle = solve_oracle(spec)
-    logs = []
-    for j in range(trials):
-        xi_seed, env_seed = trial_seeds(seed, j)
-        logs.append(
-            run_trial(
-                spec,
-                algo,
-                xi_seed,
-                env_seed,
-                delta=delta,
-                rho=rho,
-                horizon=horizon,
-                oracle=oracle,
-            )
-        )
-    return logs
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
+    kwargs = dict(delta=delta, rho=rho, horizon=horizon, oracle=solve_oracle(spec))
+    return [run_trial(spec, algo, *trial_seeds(seed, j), **kwargs) for j in range(trials)]
 
 
 @dataclass

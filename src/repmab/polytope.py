@@ -255,7 +255,7 @@ def _snap_dust(x: np.ndarray) -> np.ndarray:
 def _whole_simplex(mat: np.ndarray, bnd: np.ndarray) -> bool:
     """Whether every single-arm strategy, and so every strategy,
     satisfies every row of mat @ x <= bnd."""
-    return mat.shape[0] == 0 or bool((mat.max(axis=1) <= bnd).all())
+    return bool((mat <= bnd[:, None]).all())
 
 
 def check_feasible(mat: np.ndarray, bnd: np.ndarray) -> None:
@@ -284,7 +284,7 @@ def solve(lp: SimplexPolytopeLP):
     bnd = lp.bounds
     k = obj.size
     if _whole_simplex(mat, bnd):
-        best = int(np.argmax(obj))
+        best = int(obj.argmax())
         x = np.zeros(k)
         x[best] = 1.0
         return x, float(obj[best])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repmab.algorithms import (
     ConfigError,
@@ -155,6 +157,37 @@ def test_mixing_coefficient_no_risk():
 def test_mixing_coefficient_caps_costs_at_one():
     sigma = mixing_coefficient(np.array([3.7]), np.array([0.5]), np.array([0.5]))
     assert sigma == pytest.approx(0.5 / 1.0)
+
+
+def _numpy_mixing_coefficient(optimistic_costs, thresholds, margins):
+    """The blend weight as a numpy formula over the at-risk constraints."""
+    at_risk = optimistic_costs > thresholds
+    if not at_risk.any():
+        return 0.0
+    capped = np.minimum(optimistic_costs[at_risk], 1.0)
+    excess = capped - thresholds[at_risk]
+    return float((excess / (excess + margins[at_risk])).max())
+
+
+@st.composite
+def mixing_inputs(draw):
+    """Costs, thresholds and margins of up to four constraints, some
+    costs above 1 and some equal to their threshold."""
+    m = draw(st.integers(0, 4))
+    thresholds = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    margins = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+    costs = [draw(st.sampled_from([t, 1.0, 1.5]) | st.floats(0.0, 2.0)) for t in thresholds]
+    return costs, thresholds, margins
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mixing_inputs())
+@example(case=([3.7, 0.5, 0.2], [0.5, 0.5, 0.3], [0.5, 0.1, 0.2]))  # above 1, at its threshold
+@example(case=([0.4, 0.3], [0.5, 0.5], [0.2, 0.2]))  # no constraint at risk
+def test_mixing_coefficient_equals_numpy_formula(case):
+    args = [np.array(v, dtype=np.float64) for v in case]
+    got, want = mixing_coefficient(*args), _numpy_mixing_coefficient(*args)
+    assert type(got) is float and got.hex() == want.hex()
 
 
 def test_debora_h_initial_sigma_formula(hard_slater, hard_slater_oracle):

@@ -246,13 +246,21 @@ def _edge_instance(k: int, horizon: int):
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(spec=instances(), seeds=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
-@example(spec=_edge_instance(1, 300), seeds=(1, 2))
-@example(spec=_edge_instance(4, 1), seeds=(3, 4))
-def test_trial_invariants_on_random_instances(spec, seeds):
+@given(
+    spec=instances(),
+    seeds=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    delta_rho=st.just((0.05, 0.2)),
+)
+@example(spec=_edge_instance(1, 300), seeds=(1, 2), delta_rho=(0.05, 0.2))
+@example(spec=_edge_instance(4, 1), seeds=(3, 4), delta_rho=(0.05, 0.2))
+# a reading split: debora's counts reach the least reading count (about
+# 2.5e4) at 32768, so its first fold draws a merged run of epochs 0..12
+# (rounds 1..4096) and then lone epochs, and the sums branch below runs
+@example(spec=_edge_instance(1, 40_000), seeds=(5, 6), delta_rho=(0.01, 0.9))
+def test_trial_invariants_on_random_instances(spec, seeds, delta_rho):
     oracle = solve_oracle(spec)
     for algo in ("debora", "debora-s", "debora-h", "ucb1"):
-        kwargs = dict(delta=0.05, rho=0.2, oracle=oracle)
+        kwargs = dict(delta=delta_rho[0], rho=delta_rho[1], oracle=oracle)
         policies = []
 
         def capture(*args):

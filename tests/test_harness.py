@@ -1,18 +1,22 @@
 """Tests for the trial runner, paired experiments, and export formats."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repmab import harness
 from repmab.algorithms import ALGORITHM_NAMES, make_policy
-from repmab.environment import instance_from_dict, solve_oracle
+from repmab.environment import FeedbackStreams, instance_from_dict, solve_oracle
 from repmab.harness import (
     aggregate_and_export,
     run_batch,
     run_replicability_experiment,
     run_trial,
 )
-from repmab.randomness import round_words
+from repmab.randomness import RandomSource, round_words
 
 
 def test_replay_invariance_bit_identical(reference_soft):
@@ -162,6 +166,29 @@ def test_held_schedule_equals_a_fresh_run(request, monkeypatch, instance, algo):
     assert _same_logs(held, _fresh(spec, algo, 41, 2, **kwargs)) and made
 
 
+def _run_kind(arms, lo, hi) -> str:
+    if arms.size > 1:
+        return "merged" if arms.max() < 0 else "mixed" if arms.min() < 0 else "merged one-arm"
+    return "one-arm" if arms[0] >= 0 else "long" if hi - lo > harness._RUN_ROUNDS else "multi-arm"
+
+
+def test_replay_rebuilds_every_kind_of_run(hard_slater):
+    """On hard_slater at T=30000, replayed debora-s and debora-h trials
+    hold every kind of run: lone one-arm epochs, merged one-arm epochs,
+    lone multi-arm epochs shorter and longer than ``_RUN_ROUNDS``, merged
+    multi-arm epochs, and runs that mix both; each replay equals a fresh
+    trial."""
+    kinds = set()
+    for algo in ("debora-s", "debora-h"):
+        kwargs = dict(delta=0.05, rho=0.2, horizon=30_000)
+        first = _fresh(hard_slater, algo, 41, 1, **kwargs)
+        runs = harness._runs(first.epochs, 30_000)
+        kinds.update(_run_kind(arms, lo, hi) for lo, hi, _, arms in runs)
+        held = run_trial(hard_slater, algo, 41, 2, **kwargs)
+        assert _same_logs(held, _fresh(hard_slater, algo, 41, 2, **kwargs))
+    assert kinds == {"one-arm", "merged one-arm", "multi-arm", "long", "merged", "mixed"}
+
+
 def test_reading_trial_is_never_held():
     """A trial whose closes read data (one arm, delta=0.01, rho=0.9 and
     T=1e5, the case of test_golden.py's offset digest) is never served
@@ -205,6 +232,95 @@ def test_horizon_below_one_is_rejected_before_any_work(reference_soft, monkeypat
     monkeypatch.setattr(harness, "make_policy", no_work)
     with pytest.raises(ValueError, match=f"horizon must be at least 1, got {horizon}"):
         run_trial(reference_soft, algo, 1, 2, delta=0.05, rho=0.2, horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon", [2.7, float("inf"), float("nan")])
+def test_non_integral_horizon_is_rejected_before_any_work(reference_soft, monkeypatch, horizon):
+    def no_work(*args):
+        raise AssertionError("work began before the horizon was checked")
+
+    monkeypatch.setattr(harness, "solve_oracle", no_work)
+    monkeypatch.setattr(harness, "make_policy", no_work)
+    message = f"horizon must be a whole number of rounds, got {horizon!r}"
+    with pytest.raises(ValueError, match=message):
+        run_trial(reference_soft, "debora", 1, 2, delta=0.05, rho=0.2, horizon=horizon)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_batch_without_trials_is_rejected_before_any_work(reference_soft, monkeypatch, trials):
+    def no_work(*args):
+        raise AssertionError("work began before the trial count was checked")
+
+    monkeypatch.setattr(harness, "solve_oracle", no_work)
+    with pytest.raises(ValueError, match=f"trials={trials}"):
+        run_batch(reference_soft, "debora", delta=0.05, rho=0.2, trials=trials, seed=1)
+
+
+_R = harness._RUN_ROUNDS
+
+
+@st.composite
+def epoch_spans(draw):
+    """An instance's feedback streams, and epoch-table rows that mix
+    one-arm and multi-arm epochs, with the actions each epoch played."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    unit = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+    spec = instance_from_dict({
+        "K": k, "m": m, "horizon": 1, "thresholds": [1.0] * m,
+        "reward_means": draw(st.lists(unit, min_size=k, max_size=k)),
+        "cost_means": [draw(st.lists(unit, min_size=k, max_size=k)) for _ in range(m)],
+    })
+    streams = FeedbackStreams(spec, RandomSource(draw(st.integers(0, 2**64 - 1))))
+    short, edge = st.integers(1, 64), st.sampled_from([_R - 1, _R, _R + 1])
+    lengths = draw(st.lists(short | edge | st.integers(1, 3 * _R), min_size=1, max_size=8))
+    lo = draw(st.integers(0, 50))  # rounds before the first row, drawn earlier
+    end = lo + sum(lengths)
+    table = harness._epoch_table(len(lengths), k, m)
+    table.t_start = lo + 1 + np.cumsum([0] + lengths[:-1])
+    actions = np.zeros(end + draw(st.integers(0, 3)), dtype=np.int32)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    for row, n in zip(table, lengths):
+        support = rng.choice(k, draw(st.integers(1, k)), replace=False)
+        row.x[support] = rng.random(support.size) + 0.01
+        row.x /= row.x.sum()
+        played = actions[row.t_start - 1 : row.t_start - 1 + n]
+        played[:] = rng.choice(support, n)
+    return streams, table, end, actions
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=epoch_spans(), rows=st.integers(1, 4), fold=st.booleans())
+def test_draw_equals_a_draw_per_epoch(case, rows, fold):
+    """``_draw`` over runs writes the feedback and adds the sums that
+    drawing each epoch alone, through the streams' draw of its actions,
+    gives, bit for bit; its runs tile the rows, each within
+    ``_RUN_ROUNDS`` rounds or one longer epoch, and stop only where the
+    next row would not fit."""
+    streams, table, end, actions = case
+    signals, k = streams.ready.shape
+    rows = min(rows, signals)
+    rnd_words = round_words(actions.size)
+    rng = np.random.default_rng(end)
+    feedback = rng.random((signals, actions.size)) < 0.5
+    sums = rng.integers(0, 9, (rows, k)).astype(np.float64) if fold else None
+    expected = feedback.copy()
+    expected_sums = None if sums is None else sums.copy()
+    bounds = [*(table.t_start - 1), end]
+    for lo, hi in zip(bounds, bounds[1:]):
+        drawn = streams.draw(actions[lo:hi], rnd_words[lo:hi])
+        expected[:, lo:hi] = drawn
+        for r in range(rows if fold else 0):
+            expected_sums[r] += np.bincount(actions[lo:hi], drawn[r], k)
+    harness._draw(table, end, SimpleNamespace(actions=actions), streams, rnd_words, feedback, sums)
+    assert np.array_equal(feedback, expected)
+    assert (sums is None) or np.array_equal(sums, expected_sums)
+    runs = list(harness._runs(table, end))
+    assert runs[0][2].start == 0 and runs[-1][2].stop == len(table)
+    for (lo, hi, span, _), after in zip(runs, runs[1:] + [None]):
+        assert (lo, hi) == (bounds[span.start], bounds[span.stop])
+        assert hi - lo <= _R or span.stop - span.start == 1
+        if after is not None:
+            assert after[2].start == span.stop and bounds[span.stop + 1] - lo > _R
 
 
 def test_feedback_is_the_table_entry_of_the_played_arm(reference_soft):

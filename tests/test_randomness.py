@@ -192,6 +192,36 @@ def test_categorical_never_picks_zero_mass():
     assert index_from_cdf(np.cumsum(x), u).tolist() == [1, 1, 1, 3, 3]
 
 
+@st.composite
+def cdf_tables(draw):
+    """Cumulative sums of masses with leading and trailing zero-mass
+    arms, some scaled so the final sum falls short of 1, and one uniform
+    per row: 0, a value just below 1, exactly a cumulative sum, or any."""
+    k = draw(st.integers(1, 8))
+    rows, us = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        lead, trail = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        mass = np.zeros(k)
+        body = np.arange(lead, max(lead + 1, k - trail))
+        mass[body] = draw(st.lists(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 1.0),
+                                   min_size=body.size, max_size=body.size))
+        mass[body[0]] += draw(st.floats(0.0, 1.0))
+        scale = draw(st.sampled_from([1.0, 1.0 - 2.0**-40, 0.5]))
+        cdf = np.cumsum(mass / mass.sum() * scale) if mass.sum() > 0 else np.cumsum(mass)
+        rows.append(cdf)
+        us.append(draw(st.sampled_from([0.0, 1.0 - 2.0**-53, *cdf]) | st.floats(0.0, 1.0)))
+    return np.array(rows), np.array(us)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cdf_tables())
+def test_categorical_table_equals_rows(case):
+    """A table of cdf rows maps each uniform as the 1-d call on its row."""
+    table, u = case
+    expected = [index_from_cdf(row, v) for row, v in zip(table, u)]
+    assert index_from_cdf(table, u).tolist() == expected
+
+
 def test_categorical_monte_carlo_frequencies():
     x = np.array([0.2, 0.3, 0.5])
     draws = first_uniforms(RandomSource(99), "action", rnd=np.arange(1, 100_001))
