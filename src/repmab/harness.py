@@ -16,11 +16,12 @@ loops over rounds in Python, to pick and observe.
 
 An epoch trial is a schedule (epoch table and actions) and feedback,
 which ``_draw`` draws only when a close can read it or the trial ends,
-writing each signal's byte into one boolean (m+1, T) table whose rows
-are the log's ``rewards`` and ``costs``.  While no close can read data
-(ζ(T) > 1) the schedule depends on the algorithm seed alone, so the
-second trial of a pair replays it.  Both draw and replay work a run of
-consecutive epochs (``_runs``, up to ``_RUN_ROUNDS`` rounds) at a time.
+a run of consecutive epochs (``_runs``, up to ``_RUN_ROUNDS`` rounds) at
+a time, writing each signal's byte into one boolean (m+1, T) table
+whose rows are the log's ``rewards`` and ``costs``.  While no close can
+read data (ζ(T) > 1) the schedule depends on the algorithm seed alone,
+so the log, less what the environment seed decides, is held; the second
+trial of a pair copies it and draws only its own feedback.
 
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
@@ -52,7 +53,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +159,9 @@ class TrialLog:
 
     @property
     def inst_violation(self) -> np.ndarray:
-        """Clamped expected excess of each round, (m, T), in C order, on
-        which _gather's row sums depend bit for bit."""
+        """Clamped expected excess of each round, (m, T), in C order, so
+        its row sums equal _gather's, taken one expanded row at a time,
+        bit for bit."""
         return self.per_round(self.violation, axis=1)
 
     @property
@@ -237,6 +239,7 @@ class TrialLog:
             (self.costs, other.costs),
             (self.regret, other.regret),
             (self.violation, other.violation),
+            (self.unsafe, other.unsafe),
             (self.epochs, other.epochs),
         )
         return all(np.array_equal(a, b) for a, b in arrays)
@@ -257,8 +260,9 @@ def run_trial(
 
     Deterministic in the full argument tuple; two calls with equal
     arguments produce bit-identical logs.  When ζ(T) > 1 the log, less
-    its per-round arrays, is kept for the next trial with equal arguments
-    but ``env_seed``, which replays it and draws only its own feedback.
+    what the environment seed decides (the seed and the feedback), is
+    held for the next trial with equal arguments but ``env_seed``, which
+    copies it and draws only its own feedback.
     """
     if horizon is not None and not float(horizon).is_integer():
         raise ValueError(f"horizon must be a whole number of rounds, got {horizon!r}")
@@ -267,28 +271,28 @@ def run_trial(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if oracle is None:
         oracle = solve_oracle(spec)
-    xi = RandomSource(xi_seed)
     env = RandomSource(env_seed)
     # one row per signal, reward first; the draws write straight into it
     feedback = np.empty((spec.m + 1, horizon), dtype=bool)
+    drawn = dict(env_seed=env_seed, rewards=feedback[0], costs=feedback[1:])
+    key = (algo, xi_seed, delta, rho, horizon, spec.k, spec.m, oracle.opt_value, oracle.lambda_min)
+    arrays = (spec.reward_means, spec.cost_means, spec.thresholds,
+              oracle.x_star, oracle.x_diamond, oracle.lam)
+    held = _schedules(key + tuple(a.tobytes() for a in arrays))
+    if held:
+        log = TrialLog(**drawn, **{name: copy.copy(value) for name, value in held.items()})
+        _draw(log.epochs, horizon, log, FeedbackStreams(spec, env), round_words(horizon), feedback)
+        return log
     log = TrialLog(
         algo=algo,
         horizon=horizon,
         k=spec.k,
         m=spec.m,
         xi_seed=xi_seed,
-        env_seed=env_seed,
         actions=np.empty(horizon, dtype=np.int32),
-        rewards=feedback[0],
-        costs=feedback[1:],
+        **drawn,
     )
-    key = (algo, xi_seed, delta, rho, horizon, spec.k, spec.m, oracle.opt_value, oracle.lambda_min)
-    arrays = (spec.reward_means, spec.cost_means, spec.thresholds,
-              oracle.x_star, oracle.x_diamond, oracle.lam)
-    held = _schedules(key + tuple(a.tobytes() for a in arrays))
-    if held:
-        _replay(log, held, xi, FeedbackStreams(spec, env), feedback)
-        return log
+    xi = RandomSource(xi_seed)
     policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
     if isinstance(policy, Ucb1):
         n_read = 1  # every pick reads the rewards
@@ -298,15 +302,9 @@ def run_trial(
         _play_epochs(log, policy, spec, xi, env, feedback, n_read)
     _gather(log, spec, oracle)
     if n_read > horizon:
-        held.update((name, copy.copy(getattr(log, name))) for name in _SCHEDULE_FIELDS)
+        names = (f.name for f in fields(TrialLog) if f.name not in drawn)
+        held.update((name, copy.copy(getattr(log, name))) for name in names)
     return log
-
-
-# what a kept schedule holds of a log: no per-round array, nothing keyed
-_SCHEDULE_FIELDS = (
-    "epochs", "regret", "violation", "unsafe", "regret_total", "violation_total", "epoch_count",
-    "fallback_count", "unsafe_rounds", "any_unsafe", "clean_all", "containment_ok",
-)
 
 
 @functools.lru_cache(maxsize=1)
@@ -358,8 +356,8 @@ def _gather(log, spec, oracle) -> None:
     log.regret_total = float(np.sum(log.inst_regret))
     if log.m:
         # max over constraints of the summed clamped excess, never
-        # the sum of per-round maxima
-        log.violation_total = float(np.max(np.sum(log.inst_violation, axis=1)))
+        # the sum of per-round maxima; one row expanded at a time
+        log.violation_total = max(float(np.sum(log.per_round(row))) for row in log.violation)
     log.epoch_count = int(epochs.h[-1]) if len(epochs) else 0
     log.fallback_count = int(np.count_nonzero(epochs.fallback))
     log.clean_all = bool(epochs.clean.all())
@@ -485,30 +483,6 @@ def _draw(epochs, end, log, streams, rnd_words, feedback, sums=None) -> None:
             rows, k = sums.shape
             cells = (played + k * np.arange(rows)[:, None]).ravel()
             sums += np.bincount(cells, drawn[:rows].ravel(), rows * k).reshape(rows, k)
-
-
-def _replay(log, held, xi, streams, feedback) -> None:
-    """Fill ``log`` from a kept schedule: copies of its fields, actions
-    rebuilt from the epoch table as play resolved them, one ``_draw``.
-    A run (``_runs``) of one-arm epochs is a fill; any other maps the
-    action uniforms through one ``index_from_cdf`` call, on its one
-    epoch's cdf or on a table of each round's epoch cdf."""
-    for name, value in held.items():
-        setattr(log, name, copy.copy(value))
-    epochs = log.epochs
-    rnd_words = round_words(log.horizon)
-    action_u = None
-    for lo, hi, rows, arms in _runs(epochs, log.horizon):
-        lengths = np.diff(epochs.t_start[rows], append=hi + 1)
-        if arms.min() >= 0:
-            log.actions[lo:hi] = arms[0] if arms.size == 1 else arms.repeat(lengths)
-            continue
-        if action_u is None:
-            action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
-        cdf = epochs.x[rows].cumsum(axis=1)
-        cdf = cdf[0] if arms.size == 1 else cdf.repeat(lengths, axis=0)
-        log.actions[lo:hi] = index_from_cdf(cdf, action_u[lo:hi])
-    _draw(epochs, log.horizon, log, streams, rnd_words, feedback)
 
 
 # the first chunk of action uniforms a multi-arm epoch maps: on K=50

@@ -366,16 +366,9 @@ def index_from_cdf(cdf, u):
     arm, and u == 0 skips leading zero-mass arms.  If rounding left the
     final cumulative sum short of 1 and u lands in the gap, the draw
     goes to the last arm carrying positive mass.  Returns an int for
-    scalar u, else an array.  A 2-d cdf is a table with one cdf row per
-    entry of a 1-d u, each draw mapped through its own row.
+    scalar u, else an array.
     """
     cdf = np.asarray(cdf, dtype=np.float64)
-    if cdf.ndim == 2:
-        # a row never falls, so a comparison with it is True on a prefix,
-        # whose length is where searchsorted would put the value
-        lead = lambda b: np.where(b[:, -1], b.shape[1], b.argmin(axis=1))  # noqa: E731
-        first, last = lead(cdf <= 0.0), lead(cdf < cdf[:, -1:])
-        return np.minimum(np.maximum(lead(cdf < np.asarray(u)[:, None]), first), last)
     first = cdf.searchsorted(0.0, side="right")
     # the sums never fall, so the last rise is where they first reach
     # their final value

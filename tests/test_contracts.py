@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repmab
+from repmab import harness
 from repmab.algorithms import make_policy
 from repmab.environment import instance_from_dict, solve_oracle
 from repmab.harness import run_trial
@@ -145,3 +146,23 @@ def test_log_holds_only_actions_and_feedback_per_round(hard_slater, algo):
     m = hard_slater.m
     assert per_round == {"actions": 4 * horizon, "rewards": horizon, "costs": m * horizon}
     assert sum(per_round.values()) == horizon * (4 + m + 1)
+
+
+@pytest.mark.parametrize("algo", ["debora", "debora-s", "debora-h"])
+def test_held_schedule_holds_only_actions_per_round(hard_slater, monkeypatch, algo):
+    """A data-free trial holds its log less what the environment seed
+    decides, so the held schedule's one T-long array is its actions:
+    4 bytes a round."""
+    horizon = 2000
+    harness._schedules.cache_clear()  # so the trial plays and stores
+    schedules, held = harness._schedules, []
+    monkeypatch.setattr(harness, "_schedules", lambda key: held.append(schedules(key)) or held[-1])
+    run_trial(hard_slater, algo, 5, 6, delta=0.05, rho=0.2, horizon=horizon)
+    (schedule,) = held
+    per_round = {
+        name: value.nbytes
+        for name, value in schedule.items()
+        if isinstance(value, np.ndarray) and horizon in value.shape
+    }
+    assert per_round == {"actions": 4 * horizon}
+    assert not {"env_seed", "rewards", "costs"} & schedule.keys()

@@ -1,5 +1,6 @@
 """Tests for the trial runner, paired experiments, and export formats."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from repmab import harness
 from repmab.algorithms import ALGORITHM_NAMES, make_policy
 from repmab.environment import FeedbackStreams, instance_from_dict, solve_oracle
 from repmab.harness import (
+    TrialLog,
     aggregate_and_export,
     run_batch,
     run_replicability_experiment,
@@ -53,6 +55,14 @@ def test_equals_sees_every_epoch_column(reference_soft, field):
         rec.clean = not rec.clean
     else:
         getattr(rec, field)[0] += 0.25
+    assert not a.equals(b)
+
+
+def test_equals_sees_the_unsafe_keys(reference_soft):
+    kwargs = dict(delta=0.05, rho=0.2, horizon=600)
+    a = run_trial(reference_soft, "debora-s", 5, 6, **kwargs)
+    b = run_trial(reference_soft, "debora-s", 5, 6, **kwargs)
+    b.unsafe[0] = not b.unsafe[0]
     assert not a.equals(b)
 
 
@@ -115,7 +125,9 @@ def test_actions_consistent_with_labeled_uniforms(reference_soft):
 def test_action_uniforms_drawn_only_when_read(request, monkeypatch, instance, algo, draws):
     """One-hot strategies read no action uniform, so a trial whose every
     strategy is one-hot (debora always; debora-s while its widths exceed
-    1) never draws them, and a sampling trial draws them once."""
+    1) never draws them, and a sampling trial draws them once.  The
+    second trial of a pair copies the held schedule, actions included:
+    it makes no policy and draws none."""
     spec = request.getfixturevalue(instance)
     harness._schedules.cache_clear()  # an earlier test may hold this schedule
     finish_uniforms = harness.finish_uniforms
@@ -126,20 +138,24 @@ def test_action_uniforms_drawn_only_when_read(request, monkeypatch, instance, al
         return finish_uniforms(states, words)
 
     monkeypatch.setattr(harness, "finish_uniforms", counted)
-    log = run_trial(spec, algo, 3, 4, delta=0.05, rho=0.2, horizon=2000)
+    kwargs = dict(delta=0.05, rho=0.2, horizon=2000)
+    log = run_trial(spec, algo, 3, 4, **kwargs)
     if draws == 0:
         assert (np.count_nonzero(log.epochs.x, axis=1) == 1).all()
     assert calls == [2000] * draws
-
-
-_LOG_SCALARS = (
-    "xi_seed", "env_seed", "regret_total", "violation_total", "epoch_count",
-    "fallback_count", "unsafe_rounds", "any_unsafe", "clean_all", "containment_ok",
-)
+    made = []
+    monkeypatch.setattr(harness, "make_policy", lambda *args: made.append(1))
+    run_trial(spec, algo, 3, 5, **kwargs)
+    assert not made and calls == [2000] * draws
 
 
 def _same_logs(a, b) -> bool:
-    return a.equals(b) and all(getattr(a, f) == getattr(b, f) for f in _LOG_SCALARS)
+    """Whether two logs agree in every field, arrays bit for bit."""
+    def same(x, y):
+        return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+    names = (f.name for f in dataclasses.fields(TrialLog))
+    return all(same(getattr(a, name), getattr(b, name)) for name in names)
 
 
 def _fresh(spec, algo, xi_seed, env_seed, **kwargs):
@@ -174,10 +190,10 @@ def _run_kind(arms, lo, hi) -> str:
 
 def test_replay_rebuilds_every_kind_of_run(hard_slater):
     """On hard_slater at T=30000, replayed debora-s and debora-h trials
-    hold every kind of run: lone one-arm epochs, merged one-arm epochs,
-    lone multi-arm epochs shorter and longer than ``_RUN_ROUNDS``, merged
-    multi-arm epochs, and runs that mix both; each replay equals a fresh
-    trial."""
+    draw their feedback over every kind of run: lone one-arm epochs,
+    merged one-arm epochs, lone multi-arm epochs shorter and longer than
+    ``_RUN_ROUNDS``, merged multi-arm epochs, and runs that mix both;
+    each replay equals a fresh trial."""
     kinds = set()
     for algo in ("debora-s", "debora-h"):
         kwargs = dict(delta=0.05, rho=0.2, horizon=30_000)
