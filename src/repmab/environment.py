@@ -279,20 +279,15 @@ class FeedbackStreams:
         self.limits = np.ceil(np.ldexp(means, 53)).astype(np.uint64)
 
     def draw(self, arms, rnd_words, out=None) -> np.ndarray:
-        """Feedback (m+1, ...) of pulling ``arms`` at the rounds whose
-        ``field_words`` are ``rnd_words`` (the two broadcast).
-
-        ``arms`` is an arm or an array of arms, whose columns are taken,
-        or a slice, whose columns are read as views (a one-arm epoch
-        passes ``slice(arm, arm + 1)``).  The result is boolean; given
-        ``out``, it is written there and returned.  A trial passes the
-        epoch's columns of its boolean (m+1, T) feedback table, so each
-        signal lands in its byte with no temporary or cast.
+        """Feedback (m+1, ...) of pulling ``arms``, an arm or an array of
+        arms, at the rounds whose ``field_words`` are ``rnd_words`` (the
+        two broadcast, so a one-element array of arms is pulled at every
+        round).  The result is boolean; given ``out``, it is written there
+        and returned.  A trial passes the chunk's columns of its boolean
+        (m+1, T) feedback table, so each signal lands in its byte with no
+        temporary or cast.
         """
-        if isinstance(arms, slice):
-            ready, limits = self.ready[:, arms], self.limits[:, arms]
-        else:
-            ready, limits = self.ready.take(arms, axis=1), self.limits.take(arms, axis=1)
+        ready, limits = self.ready.take(arms, axis=1), self.limits.take(arms, axis=1)
         return np.less(finish_ready_bits(ready, rnd_words), limits, out=out)
 
 

@@ -14,14 +14,16 @@ would repeat is tabulated: the feedback label prefixes once per trial,
 the round words once per horizon.  Only the per-round UCB1 baseline
 loops over rounds in Python, to pick and observe.
 
-An epoch trial is a schedule (epoch table and actions) and feedback,
-which ``_draw`` draws only when a close can read it or the trial ends,
-a run of consecutive epochs (``_runs``, up to ``_RUN_ROUNDS`` rounds) at
-a time, writing each signal's byte into one boolean (m+1, T) table
-whose rows are the log's ``rewards`` and ``costs``.  While no close can
-read data (ζ(T) > 1) the schedule depends on the algorithm seed alone,
-so the log, less what the environment seed decides, is held; the second
-trial of a pair copies it and draws only its own feedback.
+A trial is a schedule (actions, and an epoch policy's epoch table) and
+feedback, which one function, ``_draw``, draws for the (round, arm)
+pairs played over a range of rounds, ``_RUN_ROUNDS`` rounds at a time,
+writing each signal's byte into one boolean (m+1, T) table whose rows
+are the log's ``rewards`` and ``costs``.  An epoch trial draws before a
+close that can read data, folding the successes into the policy's sums;
+``run_trial`` draws the rest of every trial at its end.  While no close
+can read data (ζ(T) > 1) the schedule depends on the algorithm seed
+alone, so the log, less what the environment seed decides, is held; the
+second trial of a pair copies it and draws only its own feedback.
 
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
@@ -229,20 +231,15 @@ class TrialLog:
         return bool(np.array_equal(self.actions, other.actions))
 
     def equals(self, other: "TrialLog") -> bool:
-        """Bit-exact equality of everything recorded (replay checks)."""
-        config = (self.algo, self.horizon, self.k, self.m)
-        if config != (other.algo, other.horizon, other.k, other.m):
-            return False
-        arrays = (
-            (self.actions, other.actions),
-            (self.rewards, other.rewards),
-            (self.costs, other.costs),
-            (self.regret, other.regret),
-            (self.violation, other.violation),
-            (self.unsafe, other.unsafe),
-            (self.epochs, other.epochs),
-        )
-        return all(np.array_equal(a, b) for a, b in arrays)
+        """Bit-exact equality of every field (replay checks): arrays in
+        dtype, shape and bytes, the rest by ``==``."""
+        def same(a, b):
+            if isinstance(a, np.ndarray):
+                return (isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)
+                        and a.tobytes() == b.tobytes())
+            return a == b
+
+        return all(same(getattr(self, f.name), getattr(other, f.name)) for f in fields(TrialLog))
 
 
 def run_trial(
@@ -262,9 +259,12 @@ def run_trial(
     arguments produce bit-identical logs.  When ζ(T) > 1 the log, less
     what the environment seed decides (the seed and the feedback), is
     held for the next trial with equal arguments but ``env_seed``, which
-    copies it and draws only its own feedback.
+    copies it.  Every trial ends with one ``_draw`` of the feedback not
+    drawn yet: all of it for a copy and for UCB1, whose picks read only
+    their own reward table.
     """
-    if horizon is not None and not float(horizon).is_integer():
+    # a bool is an int to Python, but no count of rounds
+    if isinstance(horizon, bool) or horizon is not None and not float(horizon).is_integer():
         raise ValueError(f"horizon must be a whole number of rounds, got {horizon!r}")
     horizon = spec.horizon if horizon is None else int(horizon)
     if horizon < 1:
@@ -272,38 +272,40 @@ def run_trial(
     if oracle is None:
         oracle = solve_oracle(spec)
     env = RandomSource(env_seed)
+    streams, rnd_words = FeedbackStreams(spec, env), round_words(horizon)
     # one row per signal, reward first; the draws write straight into it
     feedback = np.empty((spec.m + 1, horizon), dtype=bool)
-    drawn = dict(env_seed=env_seed, rewards=feedback[0], costs=feedback[1:])
+    decided = dict(env_seed=env_seed, rewards=feedback[0], costs=feedback[1:])
     key = (algo, xi_seed, delta, rho, horizon, spec.k, spec.m, oracle.opt_value, oracle.lambda_min)
     arrays = (spec.reward_means, spec.cost_means, spec.thresholds,
               oracle.x_star, oracle.x_diamond, oracle.lam)
     held = _schedules(key + tuple(a.tobytes() for a in arrays))
+    drawn = 0  # rounds 1..drawn have their feedback drawn
     if held:
-        log = TrialLog(**drawn, **{name: copy.copy(value) for name, value in held.items()})
-        _draw(log.epochs, horizon, log, FeedbackStreams(spec, env), round_words(horizon), feedback)
-        return log
-    log = TrialLog(
-        algo=algo,
-        horizon=horizon,
-        k=spec.k,
-        m=spec.m,
-        xi_seed=xi_seed,
-        actions=np.empty(horizon, dtype=np.int32),
-        **drawn,
-    )
-    xi = RandomSource(xi_seed)
-    policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
-    if isinstance(policy, Ucb1):
-        n_read = 1  # every pick reads the rewards
-        _play_per_round(log, policy, spec, env, feedback)
+        log = TrialLog(**decided, **{name: copy.copy(value) for name, value in held.items()})
     else:
-        n_read = _reading_count(policy.state, horizon)
-        _play_epochs(log, policy, spec, xi, env, feedback, n_read)
-    _gather(log, spec, oracle)
-    if n_read > horizon:
-        names = (f.name for f in fields(TrialLog) if f.name not in drawn)
-        held.update((name, copy.copy(getattr(log, name))) for name in names)
+        log = TrialLog(
+            algo=algo,
+            horizon=horizon,
+            k=spec.k,
+            m=spec.m,
+            xi_seed=xi_seed,
+            actions=np.empty(horizon, dtype=np.int32),
+            **decided,
+        )
+        xi = RandomSource(xi_seed)
+        policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
+        if isinstance(policy, Ucb1):
+            n_read = 1  # every pick reads the rewards
+            _play_per_round(log, policy, streams, rnd_words)
+        else:
+            n_read = _reading_count(policy.state, horizon)
+            drawn = _play_epochs(log, policy, xi, streams, rnd_words, feedback, n_read)
+        _gather(log, spec, oracle)
+        if n_read > horizon:
+            names = (f.name for f in fields(TrialLog) if f.name not in decided)
+            held.update((name, copy.copy(getattr(log, name))) for name in names)
+    _draw(drawn, horizon, log, streams, rnd_words, feedback)
     return log
 
 
@@ -387,7 +389,7 @@ def _judge_epochs(epochs: np.recarray, spec, oracle) -> None:
     epochs.contains_x_star = (pessimistic <= spec.thresholds[:m] + SAFETY_TOL).all(axis=1)
 
 
-def _play_epochs(log, policy, spec, xi, env, feedback, n_read) -> None:
+def _play_epochs(log, policy, xi, streams, rnd_words, feedback, n_read) -> int:
     """Epoch policies: the strategy is frozen between closes, so each
     epoch is resolved as a whole: its row of the epoch table (the row
     index is its strategy key), its actions (a fill for a one-hot
@@ -395,24 +397,22 @@ def _play_epochs(log, policy, spec, xi, env, feedback, n_read) -> None:
     uniforms, drawn on first read, up to the first target hit), and its
     pulls, added to the policy's counts.
 
-    The loop draws no feedback.  Only before a close at which some count
-    reaches ``n_read`` (the least with width ζ at most 1) does ``_draw``
-    fill the undrawn epochs' columns of ``feedback`` and add their
-    successes to ``policy.sums`` (a check skipped when ``n_read`` exceeds
-    T); the rest is drawn, unfolded, at the end.  This is exact: before
-    then every refreshed cell ζ exceeds 1, and for any mean in [0, 1]
-    and offset >= 0, (mean - offset)/ζ rounds to less than 1, so z = 0
-    and the estimate is min(offset + ζ/2, 1) bit for bit: stale sums
-    give the same bytes.
+    The loop draws no feedback but one lazy fold: only before a close at
+    which some count reaches ``n_read`` (the least with width ζ at most
+    1) does ``_draw`` fill the undrawn rounds' columns of ``feedback``
+    and add their successes to ``policy.sums`` (a check skipped when
+    ``n_read`` exceeds T).  Returns the last round drawn; the trial draws
+    the rest, unfolded.  This is exact: before then every refreshed cell
+    ζ exceeds 1, and for any mean in [0, 1] and offset >= 0, (mean -
+    offset)/ζ rounds to less than 1, so z = 0 and the estimate is
+    min(offset + ζ/2, 1) bit for bit: stale sums give the same bytes.
     """
     horizon = log.horizon
-    k = spec.k
-    rnd_words = round_words(horizon)
+    k = log.k
     action_u = None
-    streams = FeedbackStreams(spec, env)
     table = _epoch_table(epoch_budget(k, horizon) + 1, k, policy.m)
     st = policy.state
-    first = 0  # the first epoch whose feedback is not drawn yet
+    drawn = 0  # rounds 1..drawn have their feedback drawn
     lo = 0  # rounds lo+1..hi form the current epoch
     while True:
         x = validate_strategy(st.x_current)
@@ -437,50 +437,40 @@ def _play_epochs(log, policy, spec, xi, env, feedback, n_read) -> None:
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
             log.epochs = table[: st.h + 1].copy()
-            _draw(log.epochs[first:], hi, log, streams, rnd_words, feedback)
-            return
+            return drawn
         if n_read <= horizon and st.counts.max() >= n_read:
-            _draw(table[first : st.h + 1], hi, log, streams, rnd_words, feedback, policy.sums)
-            first = st.h + 1
+            _draw(drawn, hi, log, streams, rnd_words, feedback, policy.sums)
+            drawn = hi
         policy.close_epoch()
         lo = hi
 
 
-# the most rounds a run of merged epochs spans (its fixed cost is about
-# 27 us; one over a whole T=1e6 debora-h trial tripled its peak memory)
-_RUN_ROUNDS = 4096
+# the most rounds one feedback draw covers, so its temporaries (48 bytes
+# a round of a one-arm chunk, up to 120 of a folded multi-arm one, on
+# three signals) never grow with the range; the K=5, T=1e5 one-arm
+# trials drew 6-8 % slower in chunks of 4096 and 11-21 % in 16384
+_RUN_ROUNDS = 8192
 
 
-def _runs(epochs, end):
-    """Split epoch-table rows, the last ending at round ``end``, into runs
-    of as many rows as fit in ``_RUN_ROUNDS`` rounds, or of one longer
-    epoch.  Yields each run's rounds lo+1..hi, rows, and one arm or -1 per row."""
-    bounds = (epochs.t_start - 1).tolist() + [end]
-    x = epochs.x
-    arms = np.where(np.count_nonzero(x, axis=1) == 1, x.argmax(axis=1), -1)
-    e = 0
-    while e < len(arms):
-        f = max(bisect.bisect_right(bounds, bounds[e] + _RUN_ROUNDS, e + 1) - 1, e + 1)
-        yield bounds[e], bounds[f], slice(e, f), arms[e:f]
-        e = f
-
-
-def _draw(epochs, end, log, streams, rnd_words, feedback, sums=None) -> None:
-    """Draw the feedback of ``epochs``, consecutive epoch-table rows
-    whose last ends at round ``end``, into ``feedback``; given ``sums``,
-    (rows, K), add the successes of the first ``rows`` signals per arm.
-    A run (``_runs``) that is one one-arm epoch draws its arm's state
-    columns (slices) and counts along the rounds; any other run draws
-    the pairs ``log`` played in one gather and one ``bincount``, exact
-    because the sums are integer counts below 2^53."""
-    for lo, hi, _, arms in _runs(epochs, end):
-        arm = arms[0] if arms.size == 1 and arms[0] >= 0 else None
-        played = log.actions[lo:hi] if arm is None else slice(arm, arm + 1)
-        drawn = streams.draw(played, rnd_words[lo:hi], out=feedback[:, lo:hi])
-        if sums is not None and arm is not None:
-            sums[:, arm] += [np.count_nonzero(signal) for signal in drawn[: len(sums)]]
-        elif sums is not None:
-            rows, k = sums.shape
+def _draw(lo, hi, log, streams, rnd_words, feedback, sums=None) -> None:
+    """Draw the feedback of the pairs ``log`` played at rounds lo+1..hi
+    into ``feedback``, at most ``_RUN_ROUNDS`` rounds at a time; given
+    ``sums``, (rows, K), add the successes of the first ``rows`` signals
+    per arm.  A chunk that played one arm draws that arm's state columns
+    against its round words and counts along the rounds; any other draws
+    the played pairs in one gather and folds them with one ``bincount``,
+    exact because the sums are integer counts below 2^53."""
+    for a in range(lo, hi, _RUN_ROUNDS):
+        b = min(a + _RUN_ROUNDS, hi)
+        played = log.actions[a:b]
+        arms = played[:1] if played.min() == played.max() else played
+        drawn = streams.draw(arms, rnd_words[a:b], out=feedback[:, a:b])
+        if sums is None:
+            continue
+        rows, k = sums.shape
+        if arms.size == 1:
+            sums[:, arms[0]] += np.count_nonzero(drawn[:rows], axis=1)
+        else:
             cells = (played + k * np.arange(rows)[:, None]).ravel()
             sums += np.bincount(cells, drawn[:rows].ravel(), rows * k).reshape(rows, k)
 
@@ -529,27 +519,26 @@ def _first_target_hit(arms: np.ndarray, need: np.ndarray) -> int:
     return int(order[nth[reached]].min())
 
 
-def _play_per_round(log, policy, spec, env, feedback) -> None:
+def _play_per_round(log, policy, streams, rnd_words) -> None:
     """Per-round baseline: each pick depends on the rewards seen so far.
     Its strategy is the one-hot of the pick, so the key is the arm.
 
-    The picks read a boolean (T, K) reward table (a True reward adds
-    exactly 1.0), finished from the streams' absorb-ready states; the
-    played arms' feedback is then drawn as the epoch engine draws it,
-    for the (round, arm) pairs played, straight into the trial's
-    ``feedback`` table, and the log gets an empty epoch table.
+    The picks read a boolean (rounds, K) reward table (a True reward adds
+    exactly 1.0), finished from the streams' absorb-ready states
+    ``_RUN_ROUNDS`` rounds at a time; the trial then draws the played
+    pairs' feedback as it draws an epoch trial's.  The log gets an empty
+    epoch table.
     """
-    rnd_words = round_words(log.horizon)
-    streams = FeedbackStreams(spec, env)
-    rewards = finish_ready_bits(streams.ready[0], rnd_words[:, None]) < streams.limits[0]
     picks = []
-    for t, row in enumerate(rewards.tolist(), start=1):
-        a = policy.pick(t)
-        policy.observe(a, row[a])
-        picks.append(a)
+    for lo in range(0, log.horizon, _RUN_ROUNDS):
+        words = rnd_words[lo : lo + _RUN_ROUNDS, None]
+        rewards = finish_ready_bits(streams.ready[0], words) < streams.limits[0]
+        for t, row in enumerate(rewards.tolist(), start=lo + 1):
+            a = policy.pick(t)
+            policy.observe(a, row[a])
+            picks.append(a)
     log.actions[:] = picks
-    streams.draw(log.actions, rnd_words, out=feedback)
-    log.epochs = _epoch_table(0, spec.k, spec.m)
+    log.epochs = _epoch_table(0, log.k, log.m)
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
@@ -580,7 +569,7 @@ def run_batch(
     horizon: int | None = None,
 ) -> list[TrialLog]:
     """Run ``trials`` independent trials, seeds derived from one master."""
-    if trials < 1:
+    if isinstance(trials, bool) or trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     kwargs = dict(delta=delta, rho=rho, horizon=horizon, oracle=solve_oracle(spec))
     return [run_trial(spec, algo, *trial_seeds(seed, j), **kwargs) for j in range(trials)]
@@ -624,8 +613,8 @@ def run_replicability_experiment(
     deterministic code paths).  Action sequences are compared as well
     and reported separately.
     """
-    if n_pairs < 1:
-        raise ValueError("need at least one pair")
+    if isinstance(n_pairs, bool) or n_pairs < 1:
+        raise ValueError(f"need at least one pair, got n_pairs={n_pairs}")
     oracle = solve_oracle(spec)
     mismatches = 0
     action_mismatches = 0

@@ -3,6 +3,8 @@ cross-algorithm compatibility rules, and the names modules export."""
 
 import importlib
 import pkgutil
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ import pytest
 import repmab
 from repmab import harness
 from repmab.algorithms import make_policy
-from repmab.environment import instance_from_dict, solve_oracle
+from repmab.environment import FeedbackStreams, instance_from_dict, solve_oracle
 from repmab.harness import run_trial
-from repmab.randomness import RandomSource
+from repmab.randomness import RandomSource, round_words
 
 
 def test_parameter_split_values_exact():
@@ -166,3 +168,27 @@ def test_held_schedule_holds_only_actions_per_round(hard_slater, monkeypatch, al
     }
     assert per_round == {"actions": 4 * horizon}
     assert not {"env_seed", "rewards", "costs"} & schedule.keys()
+
+
+def test_draw_peak_does_not_grow_with_the_range(reference_soft):
+    """``_draw`` draws at most ``_RUN_ROUNDS`` rounds at a time, so its
+    traced peak is the same for a multi-arm epoch of 50 chunks as for one
+    of 2, within 10 %, folded successes included."""
+    chunk = harness._RUN_ROUNDS
+    horizon = 50 * chunk
+    spec = reference_soft
+    streams = FeedbackStreams(spec, RandomSource(3))
+    rnd_words = round_words(horizon)
+    log = SimpleNamespace(actions=np.arange(horizon, dtype=np.int32) % spec.k)
+    feedback = np.empty((spec.m + 1, horizon), dtype=bool)
+    sums = np.zeros((spec.m + 1, spec.k))
+
+    def peak(rounds: int) -> int:
+        tracemalloc.start()
+        try:
+            harness._draw(0, rounds, log, streams, rnd_words, feedback, sums)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(50 * chunk) <= 1.1 * peak(2 * chunk)

@@ -366,13 +366,14 @@ def test_threshold_draw_equals_uniform_compare(k, m, horizon, env_seed, data):
         assert np.array_equal(table[:, lo:hi], expected.astype(np.float64))
         assert (np.delete(table, np.s_[lo:hi], axis=1) == 0.5).all()
     # drawn into a boolean (m+1, T) table, as a trial keeps its feedback:
-    # one arm's columns as a slice (a one-arm epoch) or one arm per round
+    # one arm as a one-element array (a chunk that played one arm),
+    # broadcast against the round words, or one arm per round
     pattern = np.arange((m + 1) * horizon).reshape(m + 1, horizon) % 3 == 0
-    for arms in (slice(arm, arm + 1), np.array(per_round, dtype=np.int64)):
+    for arms in (np.array([arm], dtype=np.int32), np.array(per_round, dtype=np.int32)):
         table = pattern.copy()
         drawn = streams.draw(arms, words[lo:hi], out=table[:, lo:hi])
         assert drawn.dtype == bool and drawn.base is table
-        played = np.full(hi - lo, arm) if isinstance(arms, slice) else arms
+        played = np.broadcast_to(arms, hi - lo)
         assert np.array_equal(table[:, lo:hi], old(played, words[lo:hi]))
         rest = np.s_[lo:hi]
         assert np.array_equal(np.delete(table, rest, axis=1), np.delete(pattern, rest, axis=1))

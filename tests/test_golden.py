@@ -19,11 +19,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repmab import harness
+from repmab import estimator, harness
 from repmab.algorithms import ConfigError, epoch_budget, make_policy
 from repmab.cli import main as cli_main
 from repmab.environment import (
     SAFETY_TOL,
+    FeedbackStreams,
     instance_from_dict,
     instant_regret,
     instant_violation,
@@ -32,7 +33,13 @@ from repmab.environment import (
 )
 from repmab.estimator import confidence_widths
 from repmab.harness import run_trial
-from repmab.randomness import RandomSource, first_uniforms, index_from_cdf, validate_strategy
+from repmab.randomness import (
+    RandomSource,
+    first_uniforms,
+    index_from_cdf,
+    round_words,
+    validate_strategy,
+)
 
 INSTANCE_DIR = Path(__file__).resolve().parents[1] / "instances"
 HORIZON = 20_000
@@ -254,8 +261,8 @@ def _edge_instance(k: int, horizon: int):
 @example(spec=_edge_instance(1, 300), seeds=(1, 2), delta_rho=(0.05, 0.2))
 @example(spec=_edge_instance(4, 1), seeds=(3, 4), delta_rho=(0.05, 0.2))
 # a reading split: debora's counts reach the least reading count (about
-# 2.5e4) at 32768, so its first fold draws a merged run of epochs 0..12
-# (rounds 1..4096) and then lone epochs, and the sums branch below runs
+# 2.5e4) at 32768, so its first fold draws rounds 1..32768 in four
+# chunks, and the sums branch below runs
 @example(spec=_edge_instance(1, 40_000), seeds=(5, 6), delta_rho=(0.01, 0.9))
 def test_trial_invariants_on_random_instances(spec, seeds, delta_rho):
     oracle = solve_oracle(spec)
@@ -397,6 +404,86 @@ def test_epoch_tables_read_no_data_while_widths_exceed_one(spec, algo, horizon, 
         assert np.array_equal(a[: reads[0]], b[: reads[0]])
     else:
         assert np.array_equal(a, b)
+
+
+# -- a naive reference loop ----------------------------------------------
+
+
+def _naive_trial(spec, algo, seeds, horizon, oracle):
+    """An epoch policy's trial played one round at a time: the action is
+    the inverse CDF of the round's action uniform, its feedback is drawn
+    and its successes folded at once, and the epoch closes when the
+    played arm reaches its target before round T.  Returns the actions,
+    the (m+1, T) feedback, and each epoch's start round, strategy and
+    estimates."""
+    xi_seed, env_seed = seeds
+    policy = make_policy(algo, spec, horizon, 0.05, 0.2, RandomSource(xi_seed), oracle)
+    state, rows = policy.state, len(policy.sums)
+    uniforms = first_uniforms(RandomSource(xi_seed), "action", rnd=np.arange(1, horizon + 1))
+    streams, words = FeedbackStreams(spec, RandomSource(env_seed)), round_words(horizon)
+    actions = np.empty(horizon, dtype=np.int32)
+    feedback = np.empty((spec.m + 1, horizon), dtype=bool)
+    starts, epochs = [1], [(state.x_current.copy(), state.r_hat.copy(), state.g_hat.copy())]
+    for t in range(1, horizon + 1):
+        a = actions[t - 1] = index_from_cdf(np.cumsum(state.x_current), uniforms[t - 1])
+        feedback[:, t - 1] = streams.draw(a, words[t - 1])
+        state.counts[a] += 1
+        policy.sums[:, a] += feedback[:rows, t - 1]
+        if state.counts[a] == policy.targets[a] and t < horizon:
+            policy.close_epoch()
+            starts.append(t + 1)
+            epochs.append((state.x_current.copy(), state.r_hat.copy(), state.g_hat.copy()))
+    return actions, feedback, starts, [np.array(column) for column in zip(*epochs)]
+
+
+def _clear_width_caches() -> None:
+    estimator._width_constants.cache_clear()
+    harness._least_reading_count.cache_clear()
+    harness._schedules.cache_clear()
+
+
+_CHUNK = harness._RUN_ROUNDS
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=instances(),
+    algo=st.sampled_from(["debora", "debora-s", "debora-h"]),
+    horizon=st.integers(1, 3000) | st.integers(_CHUNK - 2, 2 * _CHUNK + 2),
+    scale=st.sampled_from([1.0, 1e-4]),
+    seeds=st.tuples(_U64, _U64),
+)
+# a reading trial whose last fold spans two chunks (rounds 16385..32768)
+@example(spec=_edge_instance(1, 1), algo="debora", horizon=4 * _CHUNK + 100, scale=1e-4, seeds=(5, 6))
+def test_naive_loop_equals_the_trial(spec, algo, horizon, scale, seeds):
+    """``run_trial`` plays the actions, draws the feedback, starts the
+    epochs and picks the strategies and estimates that a naive per-round
+    loop does, bit for bit: in the capped regime, and with every width ζ
+    scaled by 1e-4 (the numerator of ``estimator._width_constants`` times
+    1e-8), where closes read data and the lazy fold adds real sums."""
+    oracle = solve_oracle(spec)
+    constants = estimator._width_constants
+
+    def scaled(delta_prime, rho_prime):
+        numerator, spread = constants(delta_prime, rho_prime)
+        return numerator * scale**2, spread
+
+    _clear_width_caches()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "_width_constants", scaled)
+            log = run_trial(spec, algo, *seeds, delta=0.05, rho=0.2, horizon=horizon, oracle=oracle)
+            actions, feedback, starts, columns = _naive_trial(spec, algo, seeds, horizon, oracle)
+    except ConfigError:
+        assert algo == "debora-h" and not oracle.lambda_min > 0.0
+        return
+    finally:
+        _clear_width_caches()
+    assert np.array_equal(log.actions, actions)
+    assert np.array_equal(np.vstack([log.rewards, log.costs]), feedback)
+    assert log.epochs.t_start.tolist() == starts
+    for name, column in zip(("x", "r_hat", "g_hat"), columns):
+        assert np.array_equal(log.epochs[name], column), name
 
 
 # -- strategy sequences ---------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for the trial runner, paired experiments, and export formats."""
 
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +11,6 @@ from repmab import harness
 from repmab.algorithms import ALGORITHM_NAMES, make_policy
 from repmab.environment import FeedbackStreams, instance_from_dict, solve_oracle
 from repmab.harness import (
-    TrialLog,
     aggregate_and_export,
     run_batch,
     run_replicability_experiment,
@@ -149,15 +147,6 @@ def test_action_uniforms_drawn_only_when_read(request, monkeypatch, instance, al
     assert not made and calls == [2000] * draws
 
 
-def _same_logs(a, b) -> bool:
-    """Whether two logs agree in every field, arrays bit for bit."""
-    def same(x, y):
-        return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-
-    names = (f.name for f in dataclasses.fields(TrialLog))
-    return all(same(getattr(a, name), getattr(b, name)) for name in names)
-
-
 def _fresh(spec, algo, xi_seed, env_seed, **kwargs):
     """A trial played on an emptied schedule cache."""
     harness._schedules.cache_clear()
@@ -179,30 +168,44 @@ def test_held_schedule_equals_a_fresh_run(request, monkeypatch, instance, algo):
     monkeypatch.setattr(harness, "make_policy", lambda *args: made.append(1) or make_policy(*args))
     held = run_trial(spec, algo, 41, 2, **kwargs)
     assert not made
-    assert _same_logs(held, _fresh(spec, algo, 41, 2, **kwargs)) and made
+    assert held.equals(_fresh(spec, algo, 41, 2, **kwargs)) and made
 
 
-def _run_kind(arms, lo, hi) -> str:
-    if arms.size > 1:
-        return "merged" if arms.max() < 0 else "mixed" if arms.min() < 0 else "merged one-arm"
-    return "one-arm" if arms[0] >= 0 else "long" if hi - lo > harness._RUN_ROUNDS else "multi-arm"
+def _chunk_kinds(log) -> set:
+    """The kinds of draw chunk (``_RUN_ROUNDS`` rounds) a replay of
+    ``log`` makes: whether each played one arm and lay in one epoch, and
+    whether a one-arm or multi-arm epoch crossed a chunk's end."""
+    bound = harness._RUN_ROUNDS
+    starts = log.epochs.t_start - 1
+    kinds = set()
+    for lo in range(0, log.horizon, bound):
+        played = log.actions[lo : lo + bound]
+        first, last = np.searchsorted(starts, [lo, lo + played.size - 1], side="right") - 1
+        arms = "one arm" if played.min() == played.max() else "arms"
+        kinds.add(f"{arms}, {'one epoch' if first == last else 'epochs'}")
+    ends = np.append(starts[1:], log.horizon)
+    for lo, hi, x in zip(starts, ends, log.epochs.x):
+        if lo // bound != (hi - 1) // bound:
+            kinds.add(f"{'one-arm' if np.count_nonzero(x) == 1 else 'multi-arm'} epoch across chunks")
+    return kinds
 
 
 def test_replay_rebuilds_every_kind_of_run(hard_slater):
-    """On hard_slater at T=30000, replayed debora-s and debora-h trials
-    draw their feedback over every kind of run: lone one-arm epochs,
-    merged one-arm epochs, lone multi-arm epochs shorter and longer than
-    ``_RUN_ROUNDS``, merged multi-arm epochs, and runs that mix both;
-    each replay equals a fresh trial."""
+    """On hard_slater at T=1e5, replayed debora-s and debora-h trials
+    draw their feedback over every kind of chunk: one arm in one epoch,
+    several arms in one epoch, and several epochs in one chunk, with
+    one-arm and multi-arm epochs that span several chunks; each replay
+    equals a fresh trial."""
     kinds = set()
     for algo in ("debora-s", "debora-h"):
-        kwargs = dict(delta=0.05, rho=0.2, horizon=30_000)
-        first = _fresh(hard_slater, algo, 41, 1, **kwargs)
-        runs = harness._runs(first.epochs, 30_000)
-        kinds.update(_run_kind(arms, lo, hi) for lo, hi, _, arms in runs)
+        kwargs = dict(delta=0.05, rho=0.2, horizon=100_000)
+        kinds |= _chunk_kinds(_fresh(hard_slater, algo, 41, 1, **kwargs))
         held = run_trial(hard_slater, algo, 41, 2, **kwargs)
-        assert _same_logs(held, _fresh(hard_slater, algo, 41, 2, **kwargs))
-    assert kinds == {"one-arm", "merged one-arm", "multi-arm", "long", "merged", "mixed"}
+        assert held.equals(_fresh(hard_slater, algo, 41, 2, **kwargs))
+    assert kinds == {
+        "one arm, one epoch", "arms, one epoch", "arms, epochs",
+        "one-arm epoch across chunks", "multi-arm epoch across chunks",
+    }
 
 
 def test_reading_trial_is_never_held():
@@ -218,7 +221,7 @@ def test_reading_trial_is_never_held():
     first = _fresh(spec, "debora", 11, 12, **kwargs)
     second = run_trial(spec, "debora", 11, 14, **kwargs)
     assert not np.array_equal(first.epochs.r_hat, second.epochs.r_hat)
-    assert _same_logs(second, _fresh(spec, "debora", 11, 14, **kwargs))
+    assert second.equals(_fresh(spec, "debora", 11, 14, **kwargs))
 
 
 def _tamper(log) -> None:
@@ -235,7 +238,7 @@ def test_held_schedule_shares_no_array_with_returned_logs(reference_soft):
     _tamper(_fresh(reference_soft, "debora-h", 9, 1, **kwargs))
     _tamper(run_trial(reference_soft, "debora-h", 9, 2, **kwargs))
     held = run_trial(reference_soft, "debora-h", 9, 3, **kwargs)
-    assert _same_logs(held, _fresh(reference_soft, "debora-h", 9, 3, **kwargs))
+    assert held.equals(_fresh(reference_soft, "debora-h", 9, 3, **kwargs))
 
 
 @pytest.mark.parametrize("horizon", [0, -3])
@@ -250,7 +253,7 @@ def test_horizon_below_one_is_rejected_before_any_work(reference_soft, monkeypat
         run_trial(reference_soft, algo, 1, 2, delta=0.05, rho=0.2, horizon=horizon)
 
 
-@pytest.mark.parametrize("horizon", [2.7, float("inf"), float("nan")])
+@pytest.mark.parametrize("horizon", [2.7, float("inf"), float("nan"), True])
 def test_non_integral_horizon_is_rejected_before_any_work(reference_soft, monkeypatch, horizon):
     def no_work(*args):
         raise AssertionError("work began before the horizon was checked")
@@ -262,7 +265,7 @@ def test_non_integral_horizon_is_rejected_before_any_work(reference_soft, monkey
         run_trial(reference_soft, "debora", 1, 2, delta=0.05, rho=0.2, horizon=horizon)
 
 
-@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("trials", [0, -2, True])
 def test_batch_without_trials_is_rejected_before_any_work(reference_soft, monkeypatch, trials):
     def no_work(*args):
         raise AssertionError("work began before the trial count was checked")
@@ -272,13 +275,26 @@ def test_batch_without_trials_is_rejected_before_any_work(reference_soft, monkey
         run_batch(reference_soft, "debora", delta=0.05, rho=0.2, trials=trials, seed=1)
 
 
+@pytest.mark.parametrize("n_pairs", [0, True])
+def test_replicability_without_pairs_is_rejected_before_any_work(reference_soft, monkeypatch, n_pairs):
+    def no_work(*args):
+        raise AssertionError("work began before the pair count was checked")
+
+    monkeypatch.setattr(harness, "solve_oracle", no_work)
+    with pytest.raises(ValueError, match=f"n_pairs={n_pairs}"):
+        run_replicability_experiment(
+            reference_soft, "debora", rho=0.2, delta=0.05, n_pairs=n_pairs, seed=1
+        )
+
+
 _R = harness._RUN_ROUNDS
 
 
 @st.composite
 def epoch_spans(draw):
-    """An instance's feedback streams, and epoch-table rows that mix
-    one-arm and multi-arm epochs, with the actions each epoch played."""
+    """An instance's feedback streams, and epochs that mix one-arm and
+    multi-arm strategies: their bounds, the first after ``lo`` rounds
+    drawn earlier, and the actions each played."""
     k, m = draw(st.integers(1, 6)), draw(st.integers(0, 3))
     unit = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
     spec = instance_from_dict({
@@ -289,54 +305,46 @@ def epoch_spans(draw):
     streams = FeedbackStreams(spec, RandomSource(draw(st.integers(0, 2**64 - 1))))
     short, edge = st.integers(1, 64), st.sampled_from([_R - 1, _R, _R + 1])
     lengths = draw(st.lists(short | edge | st.integers(1, 3 * _R), min_size=1, max_size=8))
-    lo = draw(st.integers(0, 50))  # rounds before the first row, drawn earlier
-    end = lo + sum(lengths)
-    table = harness._epoch_table(len(lengths), k, m)
-    table.t_start = lo + 1 + np.cumsum([0] + lengths[:-1])
-    actions = np.zeros(end + draw(st.integers(0, 3)), dtype=np.int32)
+    lo = draw(st.integers(0, 50))
+    bounds = (lo + np.cumsum([0] + lengths)).tolist()
+    actions = np.zeros(bounds[-1] + draw(st.integers(0, 3)), dtype=np.int32)
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    for row, n in zip(table, lengths):
+    for start, end in zip(bounds, bounds[1:]):
         support = rng.choice(k, draw(st.integers(1, k)), replace=False)
-        row.x[support] = rng.random(support.size) + 0.01
-        row.x /= row.x.sum()
-        played = actions[row.t_start - 1 : row.t_start - 1 + n]
-        played[:] = rng.choice(support, n)
-    return streams, table, end, actions
+        actions[start:end] = rng.choice(support, end - start)
+    return streams, bounds, actions
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=epoch_spans(), rows=st.integers(1, 4), fold=st.booleans())
 def test_draw_equals_a_draw_per_epoch(case, rows, fold):
-    """``_draw`` over runs writes the feedback and adds the sums that
-    drawing each epoch alone, through the streams' draw of its actions,
-    gives, bit for bit; its runs tile the rows, each within
-    ``_RUN_ROUNDS`` rounds or one longer epoch, and stop only where the
-    next row would not fit."""
-    streams, table, end, actions = case
+    """``_draw`` over a range of rounds writes the feedback and adds the
+    sums that drawing each epoch alone, through the streams' draw of its
+    actions, gives, bit for bit; each of its draws covers at most
+    ``_RUN_ROUNDS`` rounds, and together they tile the range."""
+    streams, bounds, actions = case
     signals, k = streams.ready.shape
     rows = min(rows, signals)
     rnd_words = round_words(actions.size)
-    rng = np.random.default_rng(end)
+    rng = np.random.default_rng(bounds[-1])
     feedback = rng.random((signals, actions.size)) < 0.5
     sums = rng.integers(0, 9, (rows, k)).astype(np.float64) if fold else None
     expected = feedback.copy()
     expected_sums = None if sums is None else sums.copy()
-    bounds = [*(table.t_start - 1), end]
     for lo, hi in zip(bounds, bounds[1:]):
         drawn = streams.draw(actions[lo:hi], rnd_words[lo:hi])
         expected[:, lo:hi] = drawn
         for r in range(rows if fold else 0):
             expected_sums[r] += np.bincount(actions[lo:hi], drawn[r], k)
-    harness._draw(table, end, SimpleNamespace(actions=actions), streams, rnd_words, feedback, sums)
+    spans = []  # the rounds each draw covers
+    recorded = SimpleNamespace(
+        draw=lambda arms, words, out: spans.append(words.size) or streams.draw(arms, words, out)
+    )
+    log = SimpleNamespace(actions=actions)
+    harness._draw(bounds[0], bounds[-1], log, recorded, rnd_words, feedback, sums)
     assert np.array_equal(feedback, expected)
     assert (sums is None) or np.array_equal(sums, expected_sums)
-    runs = list(harness._runs(table, end))
-    assert runs[0][2].start == 0 and runs[-1][2].stop == len(table)
-    for (lo, hi, span, _), after in zip(runs, runs[1:] + [None]):
-        assert (lo, hi) == (bounds[span.start], bounds[span.stop])
-        assert hi - lo <= _R or span.stop - span.start == 1
-        if after is not None:
-            assert after[2].start == span.stop and bounds[span.stop + 1] - lo > _R
+    assert max(spans) <= _R and sum(spans) == bounds[-1] - bounds[0]
 
 
 def test_feedback_is_the_table_entry_of_the_played_arm(reference_soft):
