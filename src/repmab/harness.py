@@ -22,8 +22,10 @@ are the log's ``rewards`` and ``costs``.  An epoch trial draws before a
 close that can read data, folding the successes into the policy's sums;
 ``run_trial`` draws the rest of every trial at its end.  While no close
 can read data (ζ(T) > 1) the schedule depends on the algorithm seed
-alone, so the log, less what the environment seed decides, is held; the
-second trial of a pair copies it and draws only its own feedback.
+alone, so the log, less what the seeds decide, is held; the second
+trial of a pair copies it and draws only its own feedback.  When every
+width stays at least 2 and every strategy is one-hot, the schedule
+depends on no seed at all, and any algorithm seed copies it.
 
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
@@ -257,43 +259,41 @@ def run_trial(
 
     Deterministic in the full argument tuple; two calls with equal
     arguments produce bit-identical logs.  When ζ(T) > 1 the log, less
-    what the environment seed decides (the seed and the feedback), is
-    held for the next trial with equal arguments but ``env_seed``, which
-    copies it.  Every trial ends with one ``_draw`` of the feedback not
+    the seeds and the feedback, is held, and the next trial with equal
+    arguments but its seeds copies it: a trial with the same
+    ``xi_seed``, or with any ``xi_seed`` when the schedule is seed-free
+    (ζ(T) >= 2 under the policy's own split, and every strategy
+    one-hot).  Every trial ends with one ``_draw`` of the feedback not
     drawn yet: all of it for a copy and for UCB1, whose picks read only
     their own reward table.
     """
-    # a bool is an int to Python, but no count of rounds
-    if isinstance(horizon, bool) or horizon is not None and not float(horizon).is_integer():
-        raise ValueError(f"horizon must be a whole number of rounds, got {horizon!r}")
-    horizon = spec.horizon if horizon is None else int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    horizon = _check_horizon(spec, horizon)
     if oracle is None:
         oracle = solve_oracle(spec)
+    xi = RandomSource(xi_seed)  # a bad seed raises here, copy or not
     env = RandomSource(env_seed)
     streams, rnd_words = FeedbackStreams(spec, env), round_words(horizon)
     # one row per signal, reward first; the draws write straight into it
     feedback = np.empty((spec.m + 1, horizon), dtype=bool)
-    decided = dict(env_seed=env_seed, rewards=feedback[0], costs=feedback[1:])
-    key = (algo, xi_seed, delta, rho, horizon, spec.k, spec.m, oracle.opt_value, oracle.lambda_min)
+    given = dict(xi_seed=xi_seed, env_seed=env_seed, rewards=feedback[0], costs=feedback[1:])
+    key = (algo, delta, rho, horizon, spec.k, spec.m, oracle.opt_value, oracle.lambda_min)
     arrays = (spec.reward_means, spec.cost_means, spec.thresholds,
               oracle.x_star, oracle.x_diamond, oracle.lam)
     held = _schedules(key + tuple(a.tobytes() for a in arrays))
     drawn = 0  # rounds 1..drawn have their feedback drawn
-    if held:
-        log = TrialLog(**decided, **{name: copy.copy(value) for name, value in held.items()})
+    if held and held["xi_seed"] in (None, xi_seed):
+        # the held seed is only a marker: the log takes the given one
+        log = TrialLog(**({name: copy.copy(value) for name, value in held.items()} | given))
     else:
+        held.clear()  # a schedule of another seed goes before play, as an old key's does
         log = TrialLog(
             algo=algo,
             horizon=horizon,
             k=spec.k,
             m=spec.m,
-            xi_seed=xi_seed,
             actions=np.empty(horizon, dtype=np.int32),
-            **decided,
+            **given,
         )
-        xi = RandomSource(xi_seed)
         policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
         if isinstance(policy, Ucb1):
             n_read = 1  # every pick reads the rewards
@@ -303,16 +303,37 @@ def run_trial(
             drawn = _play_epochs(log, policy, xi, streams, rnd_words, feedback, n_read)
         _gather(log, spec, oracle)
         if n_read > horizon:
-            names = (f.name for f in fields(TrialLog) if f.name not in decided)
+            st = policy.state
+            # ζ >= 2 snaps every estimate to 1.0; a one-hot strategy reads no action uniform
+            seed_free = (confidence_widths(horizon, st.delta_prime, st.rho_prime) >= 2.0
+                         and (np.count_nonzero(log.epochs.x, axis=1) == 1).all())
+            names = (f.name for f in fields(TrialLog) if f.name not in given)
             held.update((name, copy.copy(getattr(log, name))) for name in names)
+            held["xi_seed"] = None if seed_free else xi_seed
     _draw(drawn, horizon, log, streams, rnd_words, feedback)
     return log
 
 
+def _check_horizon(spec: InstanceSpec, horizon) -> int:
+    """The trial horizon: ``spec.horizon`` if ``horizon`` is None, else
+    ``horizon``, which must be a whole number of at least one round."""
+    # a bool is an int to Python, but no count of rounds
+    if isinstance(horizon, bool) or horizon is not None and not float(horizon).is_integer():
+        raise ValueError(f"horizon must be a whole number of rounds, got {horizon!r}")
+    horizon = spec.horizon if horizon is None else int(horizon)
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    return horizon
+
+
 @functools.lru_cache(maxsize=1)
 def _schedules(key: tuple) -> dict:
-    """The kept schedule of the trials ``key`` names, empty until one is
-    stored; asking for a new key drops the old entry before play."""
+    """The kept schedule of the trials ``key`` names (algorithm, δ, ρ, T,
+    instance and oracle, but no seed), empty until one is stored; asking
+    for a new key drops the old entry before play.  Its ``xi_seed`` is
+    the algorithm seed that made it, or None when it serves any seed:
+    with every width at least 2 each estimate is the cap 1.0 whatever
+    the grid offset, and one-hot strategies read no action uniform."""
     return {}
 
 
@@ -571,6 +592,7 @@ def run_batch(
     """Run ``trials`` independent trials, seeds derived from one master."""
     if isinstance(trials, bool) or trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
+    horizon = _check_horizon(spec, horizon)
     kwargs = dict(delta=delta, rho=rho, horizon=horizon, oracle=solve_oracle(spec))
     return [run_trial(spec, algo, *trial_seeds(seed, j), **kwargs) for j in range(trials)]
 
@@ -615,6 +637,7 @@ def run_replicability_experiment(
     """
     if isinstance(n_pairs, bool) or n_pairs < 1:
         raise ValueError(f"need at least one pair, got n_pairs={n_pairs}")
+    horizon = _check_horizon(spec, horizon)
     oracle = solve_oracle(spec)
     mismatches = 0
     action_mismatches = 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repmab import harness
 from repmab.algorithms import ALGORITHM_NAMES, make_policy
 from repmab.environment import FeedbackStreams, instance_from_dict, solve_oracle
+from repmab.estimator import confidence_widths
 from repmab.harness import (
     aggregate_and_export,
     run_batch,
@@ -153,6 +154,13 @@ def _fresh(spec, algo, xi_seed, env_seed, **kwargs):
     return run_trial(spec, algo, xi_seed, env_seed, **kwargs)
 
 
+def _counted_policies(monkeypatch) -> list:
+    """Patch ``harness.make_policy`` to count its calls in the list it returns."""
+    made = []
+    monkeypatch.setattr(harness, "make_policy", lambda *args: made.append(1) or make_policy(*args))
+    return made
+
+
 @pytest.mark.parametrize("algo", ["debora", "debora-s", "debora-h"])
 @pytest.mark.parametrize(
     "instance", ["hard_slater", "reference_soft", "reference_unconstrained", "three_arm_gaps"]
@@ -164,11 +172,83 @@ def test_held_schedule_equals_a_fresh_run(request, monkeypatch, instance, algo):
     spec = request.getfixturevalue(instance)
     kwargs = dict(delta=0.05, rho=0.2, horizon=3000)
     _fresh(spec, algo, 41, 1, **kwargs)
-    made = []
-    monkeypatch.setattr(harness, "make_policy", lambda *args: made.append(1) or make_policy(*args))
+    made = _counted_policies(monkeypatch)
     held = run_trial(spec, algo, 41, 2, **kwargs)
     assert not made
     assert held.equals(_fresh(spec, algo, 41, 2, **kwargs)) and made
+
+
+@pytest.mark.parametrize("algo", ["debora", "debora-s", "debora-h"])
+@pytest.mark.parametrize(
+    "instance", ["hard_slater", "reference_soft", "reference_unconstrained", "three_arm_gaps"]
+)
+def test_seed_free_schedule_serves_any_algorithm_seed(request, monkeypatch, instance, algo):
+    """A held schedule whose widths stay at least 2 (so every estimate is
+    the cap 1.0 whatever its offset) and whose strategies are all one-hot
+    (so no action uniform is read) depends on no seed: a trial with
+    another algorithm seed copies it and makes no policy.  debora always
+    qualifies; debora-h on a constrained instance never does, since its
+    blends toward the safe strategy play several arms.  The copy equals
+    a trial played on an emptied cache and carries its own seed."""
+    spec = request.getfixturevalue(instance)
+    horizon = 3000
+    kwargs = dict(delta=0.05, rho=0.2, horizon=horizon)
+    first = _fresh(spec, algo, 41, 1, **kwargs)
+    st = make_policy(algo, spec, horizon, 0.05, 0.2, RandomSource(41), solve_oracle(spec)).state
+    capped = confidence_widths(horizon, st.delta_prime, st.rho_prime) >= 2.0
+    one_hot = (np.count_nonzero(first.epochs.x, axis=1) == 1).all()
+    made = _counted_policies(monkeypatch)
+    second = run_trial(spec, algo, 42, 2, **kwargs)
+    assert (not made) == (capped and one_hot)
+    if algo == "debora":
+        assert not made
+    if algo == "debora-h" and spec.m:
+        assert made
+    assert second.xi_seed == 42
+    assert second.equals(_fresh(spec, algo, 42, 2, **kwargs))
+
+
+_ONE_ARM = {"K": 1, "m": 0, "reward_means": [0.37], "cost_means": [], "thresholds": [], "horizon": 100_000}
+
+
+@pytest.mark.parametrize("horizon, tables", [(5000, 1), (10_000, 3)])
+def test_widths_below_two_keep_the_schedule_tied_to_its_seed(monkeypatch, horizon, tables):
+    """The one-arm debora trials of test_golden.py's offset digest at
+    widths between 1 and 2 (1.73 at T=5000, 1.32 at T=1e4): no close
+    reads data, so the schedule is held, but an estimate min(offset +
+    ζ/2, 1) can fall below the cap, so it serves only its own seed.
+    With the cache warm, each of seeds 1..8 makes a policy and equals a
+    fresh run; at T=1e4 the seeds give 3 distinct estimate tables."""
+    spec = instance_from_dict(_ONE_ARM)
+    kwargs = dict(delta=0.01, rho=0.9, horizon=horizon)
+    st = make_policy("debora", spec, horizon, 0.01, 0.9, RandomSource(1), solve_oracle(spec)).state
+    assert 1.0 < confidence_widths(horizon, st.delta_prime, st.rho_prime) < 2.0
+    _fresh(spec, "debora", 9, 109, **kwargs)
+    made = _counted_policies(monkeypatch)
+    logs = []
+    for seed in range(1, 9):
+        logs.append(run_trial(spec, "debora", seed, 100 + seed, **kwargs))
+        assert len(made) == seed
+    assert len({log.epochs.r_hat.tobytes() for log in logs}) == tables
+    for seed, log in enumerate(logs, start=1):
+        assert log.equals(_fresh(spec, "debora", seed, 100 + seed, **kwargs))
+
+
+@pytest.mark.parametrize("xi_seed", [-1, 2**64])
+def test_seed_free_copy_still_validates_the_seed(reference_soft, monkeypatch, xi_seed):
+    """A trial that would copy a seed-free schedule rejects a bad
+    algorithm seed with the error a trial that plays raises."""
+    kwargs = dict(delta=0.05, rho=0.2, horizon=3000)
+    harness._schedules.cache_clear()
+    with pytest.raises(ValueError) as miss:
+        run_trial(reference_soft, "debora", xi_seed, 1, **kwargs)
+    run_trial(reference_soft, "debora", 41, 1, **kwargs)
+    made = _counted_policies(monkeypatch)
+    run_trial(reference_soft, "debora", 42, 1, **kwargs)
+    assert not made  # the schedule is seed-free
+    with pytest.raises(ValueError) as hit:
+        run_trial(reference_soft, "debora", xi_seed, 1, **kwargs)
+    assert str(hit.value) == str(miss.value)
 
 
 def _chunk_kinds(log) -> set:
@@ -263,6 +343,27 @@ def test_non_integral_horizon_is_rejected_before_any_work(reference_soft, monkey
     message = f"horizon must be a whole number of rounds, got {horizon!r}"
     with pytest.raises(ValueError, match=message):
         run_trial(reference_soft, "debora", 1, 2, delta=0.05, rho=0.2, horizon=horizon)
+
+
+@pytest.mark.parametrize(
+    "horizon, message",
+    [(0, "at least 1, got 0"), (1.5, "a whole number of rounds, got 1.5"),
+     (True, "a whole number of rounds, got True")],
+)
+@pytest.mark.parametrize("entry", ["batch", "pairs"])
+def test_bad_horizon_is_rejected_before_the_oracle(reference_soft, monkeypatch, entry, horizon, message):
+    """A batch or a replicability run checks the horizon, with the
+    messages ``run_trial`` gives, before the oracle's LPs run."""
+    solved = []
+    monkeypatch.setattr(harness, "solve_oracle", lambda spec: solved.append(spec))
+    with pytest.raises(ValueError, match=f"horizon must be {message}"):
+        if entry == "batch":
+            run_batch(reference_soft, "debora", delta=0.05, rho=0.2, trials=1, seed=1, horizon=horizon)
+        else:
+            run_replicability_experiment(
+                reference_soft, "debora", rho=0.2, delta=0.05, n_pairs=1, seed=1, horizon=horizon
+            )
+    assert solved == []
 
 
 @pytest.mark.parametrize("trials", [0, -2, True])
