@@ -15,7 +15,7 @@ exploration bonus), then reselect:
   keeps every played strategy safe with high probability.
 
 The trial engine plays whatever strategy an epoch policy holds in
-``state.x_current``; it never asks which variant produced it, so the
+``x_current``; it never asks which variant produced it, so the
 one-hot strategies of ``debora`` take the same path as any other.
 
 ``ucb1`` is the classic per-round index policy, included as a
@@ -26,7 +26,6 @@ through ``pick(t)`` and ``observe(arm, reward)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .randomness import RandomSource, field_words, finish_uniforms, label_states
 __all__ = [
     "ALGORITHM_NAMES",
     "ConfigError",
-    "EpochState",
     "Ucb1",
     "ceil_log2",
     "check_delta_rho",
@@ -74,21 +72,6 @@ def check_delta_rho(delta: float, rho: float) -> None:
     0 < 2*delta < rho < 1 (NaN included), whatever the algorithm."""
     if not (0.0 < 2.0 * delta < rho < 1.0):
         raise ConfigError(f"need 0 < 2*delta < rho < 1, got delta={delta}, rho={rho}")
-
-
-@dataclass
-class EpochState:
-    """Mutable per-epoch memory shared by the replicable policies."""
-
-    h: int
-    counts: np.ndarray  # pulls per arm so far
-    r_hat: np.ndarray
-    g_hat: np.ndarray
-    zeta: np.ndarray
-    x_current: np.ndarray
-    delta_prime: float
-    rho_prime: float
-    sigma: float = 0.0
 
 
 def _solve_optimistic(lp: SimplexPolytopeLP) -> tuple[np.ndarray, bool]:
@@ -133,11 +116,11 @@ class _EpochDoublingPolicy:
     """Shared machinery: counts, success sums, doubling targets, closes.
 
     The strategy is frozen between closes, so the trial engine plays a
-    whole epoch at a time: it adds the pulls per arm to ``state.counts``
-    and, before any close that reads them, the 1s each tracked signal
-    gave per arm to ``sums``.  An epoch ends at the first round where
-    some arm's pull count reaches its target, twice its count at the
-    epoch start.
+    whole epoch at a time: it adds the pulls per arm to ``counts`` and,
+    in a trial whose closes can read data, the 1s each tracked signal
+    gave per arm to ``sums`` before every close.  An epoch ends at the
+    first round where some arm's pull count reaches its target, twice
+    its count at the epoch start.
 
     Tracked signals are indexed by row: row 0 is the reward and row i+1
     the cost of constraint i.
@@ -154,26 +137,22 @@ class _EpochDoublingPolicy:
         denominator: int,
         track_costs: bool,
     ):
-        dp, rp = delta / denominator, rho / denominator
         k = spec.k
         m = spec.m if track_costs else 0
-        zeros = np.zeros(k, dtype=np.int64)
         self.spec = spec
         self.horizon = horizon
         self.budget = epoch_budget(k, horizon)
         self.xi = xi
         self.oracle = oracle
         self.m = m
-        self.state = EpochState(
-            h=0,
-            counts=zeros,
-            r_hat=np.full(k, 0.5),
-            g_hat=np.full((m, k), 0.5),
-            zeta=confidence_widths(zeros, dp, rp),
-            x_current=np.zeros(k),
-            delta_prime=dp,
-            rho_prime=rp,
-        )
+        self.delta_prime, self.rho_prime = delta / denominator, rho / denominator
+        self.h = 0  # epoch index
+        self.counts = np.zeros(k, dtype=np.int64)  # pulls per arm so far
+        self.r_hat = np.full(k, 0.5)
+        self.g_hat = np.full((m, k), 0.5)
+        self.zeta = confidence_widths(self.counts, self.delta_prime, self.rho_prime)
+        self.x_current = np.zeros(k)
+        self.sigma = 0.0
         self.targets = np.ones(k, dtype=np.int64)
         # feedback is 0/1, so these float sums are exact success counts
         self.sums = np.zeros((m + 1, k))
@@ -186,14 +165,13 @@ class _EpochDoublingPolicy:
 
     def close_epoch(self) -> None:
         """Advance to the next epoch: refresh estimates and reselect."""
-        st = self.state
-        counts = st.counts
+        counts = self.counts
         if (counts > self.targets).any():
             raise RuntimeError("doubling discipline violated inside an epoch")
-        st.h += 1
-        if st.h > self.budget:
-            raise RuntimeError(f"epoch index {st.h} exceeded budget {self.budget}")
-        st.zeta = confidence_widths(counts, st.delta_prime, st.rho_prime)
+        self.h += 1
+        if self.h > self.budget:
+            raise RuntimeError(f"epoch index {self.h} exceeded budget {self.budget}")
+        self.zeta = confidence_widths(counts, self.delta_prime, self.rho_prime)
         self._update_estimates()
         self._select()
         self.targets = np.maximum(2 * counts, 1)
@@ -204,14 +182,13 @@ class _EpochDoublingPolicy:
         Each (arm, signal) grid offset is the first uniform of its own
         labeled stream, scaled by the arm's cell width.
         """
-        st = self.state
-        if arms.size == st.counts.size:
+        if arms.size == self.counts.size:
             arms = slice(None)  # every arm: views instead of gathered copies
-        cell = st.zeta[arms]
+        cell = self.zeta[arms]
         offset = self._offset_uniforms(arms) * cell
-        est = snap_to_grid(self.sums[:, arms] / st.counts[arms], cell, offset)
-        st.r_hat[arms] = est[0]
-        st.g_hat[:, arms] = est[1:]
+        est = snap_to_grid(self.sums[:, arms] / self.counts[arms], cell, offset)
+        self.r_hat[arms] = est[0]
+        self.g_hat[:, arms] = est[1:]
 
     def _offset_uniforms(self, arms: np.ndarray) -> np.ndarray:
         """First uniforms of this epoch's grid-offset labels, (m+1, n):
@@ -223,7 +200,7 @@ class _EpochDoublingPolicy:
         the whole block for every arm in one pass; a close gathers its
         epoch's row of that block.
         """
-        h = self.state.h
+        h = self.h
         base = h - h % OFFSET_BLOCK
         if base != self._offsets_base:
             self._offsets = self._offset_block(base)
@@ -263,15 +240,14 @@ class Debora(_EpochDoublingPolicy):
 
     def _update_estimates(self) -> None:
         # only the arm just played has new samples
-        self._refresh(self.state.x_current.nonzero()[0])
+        self._refresh(self.x_current.nonzero()[0])
 
     def _select(self) -> None:
-        st = self.state
         # np.argmax returns the first maximizer: ties go to the lowest arm.
-        arm = int(np.argmax(st.r_hat + st.zeta))
+        arm = int(np.argmax(self.r_hat + self.zeta))
         x = np.zeros(self.spec.k)
         x[arm] = 1.0
-        st.x_current = x
+        self.x_current = x
 
 
 class DeboraS(_EpochDoublingPolicy):
@@ -293,16 +269,15 @@ class DeboraS(_EpochDoublingPolicy):
 
     def _update_estimates(self) -> None:
         # never-played arms keep the symmetric prior
-        self._refresh(self.state.counts.nonzero()[0])
+        self._refresh(self.counts.nonzero()[0])
 
     def _select(self) -> None:
-        st = self.state
         lp = self._lp
-        np.add(st.r_hat, st.zeta, out=lp.objective)
-        np.subtract(st.g_hat, st.zeta, out=lp.constraint_matrix)
+        np.add(self.r_hat, self.zeta, out=lp.objective)
+        np.subtract(self.g_hat, self.zeta, out=lp.constraint_matrix)
         x, fallback = _solve_optimistic(lp)
         self.last_fallback = fallback
-        st.x_current = x
+        self.x_current = x
 
 
 class DeboraH(DeboraS):
@@ -325,14 +300,13 @@ class DeboraH(DeboraS):
         super()._select()
         if self.m == 0:
             return  # nothing at risk: sigma stays 0
-        st = self.state
-        x_tilde = st.x_current
-        optimistic_costs = (st.g_hat + st.zeta[None, :]) @ x_tilde
+        x_tilde = self.x_current
+        optimistic_costs = (self.g_hat + self.zeta[None, :]) @ x_tilde
         sigma = mixing_coefficient(optimistic_costs, self.spec.thresholds, self.margins)
         if sigma > self.sigma_cap:
             raise RuntimeError(f"mixing coefficient {sigma} exceeded 1/(1+margin)")
-        st.sigma = sigma
-        st.x_current = sigma * self.oracle.x_diamond + (1.0 - sigma) * x_tilde
+        self.sigma = sigma
+        self.x_current = sigma * self.oracle.x_diamond + (1.0 - sigma) * x_tilde
 
 
 class Ucb1:

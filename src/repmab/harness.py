@@ -18,14 +18,17 @@ A trial is a schedule (actions, and an epoch policy's epoch table) and
 feedback, which one function, ``_draw``, draws for the (round, arm)
 pairs played over a range of rounds, ``_RUN_ROUNDS`` rounds at a time,
 writing each signal's byte into one boolean (m+1, T) table whose rows
-are the log's ``rewards`` and ``costs``.  An epoch trial draws before a
-close that can read data, folding the successes into the policy's sums;
-``run_trial`` draws the rest of every trial at its end.  While no close
-can read data (ζ(T) > 1) the schedule depends on the algorithm seed
-alone, so the log, less what the seeds decide, is held; the second
-trial of a pair copies it and draws only its own feedback.  When every
-width stays at least 2 and every strategy is one-hot, the schedule
-depends on no seed at all, and any algorithm seed copies it.
+are the log's ``rewards`` and ``costs``.  One number decides what an
+epoch trial reads: ζ(T), the width of an arm pulled in every round,
+the narrowest any close can see (widths never rise with the count).
+If ζ(T) <= 1, the trial draws each epoch before its close, folding the
+successes into the policy's sums.  Otherwise no close reads data: the
+trial draws nothing until its end, and its schedule depends on the
+algorithm seed alone, so the log, less what the seeds decide, is held;
+the second trial of a pair copies it and draws only its own feedback.
+If ζ(T) >= 2 and every strategy is one-hot, the schedule depends on no
+seed at all, and any algorithm seed copies it.  ``run_trial`` draws
+the rest of every trial at its end.
 
 The epoch policies write one row per epoch into a struct-of-arrays
 epoch table preallocated to the epoch budget: start round, strategy,
@@ -51,7 +54,6 @@ its key are formatted once per key and gathered through the keys.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import functools
 import itertools
@@ -220,12 +222,10 @@ class TrialLog:
     def same_strategy_sequence(self, other: "TrialLog") -> bool:
         """Whether both logs play equal strategies at every round, as
         ``np.array_equal`` of their strategy matrices, without building
-        them: two baselines compare their picks, anything else its
-        strategy runs."""
+        them: their strategy runs are equal, the per-round baseline's
+        runs of repeated picks included."""
         if (self.horizon, self.k) != (other.horizon, other.k):
             return False
-        if not (len(self.epochs) or len(other.epochs)):
-            return self.same_action_sequence(other)
         runs = zip(self._strategy_runs(), other._strategy_runs())
         return all(np.array_equal(a, b) for a, b in runs)
 
@@ -258,14 +258,16 @@ def run_trial(
     """Play one trial of ``algo`` on ``spec`` for T rounds.
 
     Deterministic in the full argument tuple; two calls with equal
-    arguments produce bit-identical logs.  When ζ(T) > 1 the log, less
-    the seeds and the feedback, is held, and the next trial with equal
-    arguments but its seeds copies it: a trial with the same
-    ``xi_seed``, or with any ``xi_seed`` when the schedule is seed-free
-    (ζ(T) >= 2 under the policy's own split, and every strategy
-    one-hot).  Every trial ends with one ``_draw`` of the feedback not
-    drawn yet: all of it for a copy and for UCB1, whose picks read only
-    their own reward table.
+    arguments produce bit-identical logs.  An epoch policy's width ζ(T)
+    under its own split decides the trial once: at most 1, every close
+    folds the feedback before it; above 1, the log, less the seeds and
+    the feedback, is held, and the next trial with equal arguments but
+    its seeds copies it: a trial with the same ``xi_seed``, or with any
+    ``xi_seed`` when the schedule is seed-free (ζ(T) >= 2, and every
+    strategy one-hot).  UCB1 has no width: every pick reads its reward
+    table, so it is never held.  Every trial ends with one ``_draw`` of
+    the feedback not drawn yet: all of it for a copy, for UCB1 and for
+    a trial that folded nothing.
     """
     horizon = _check_horizon(spec, horizon)
     if oracle is None:
@@ -296,17 +298,15 @@ def run_trial(
         )
         policy = make_policy(algo, spec, horizon, delta, rho, xi, oracle)
         if isinstance(policy, Ucb1):
-            n_read = 1  # every pick reads the rewards
+            zeta = 0.0  # no width: every pick reads the rewards
             _play_per_round(log, policy, streams, rnd_words)
         else:
-            n_read = _reading_count(policy.state, horizon)
-            drawn = _play_epochs(log, policy, xi, streams, rnd_words, feedback, n_read)
+            zeta = confidence_widths(horizon, policy.delta_prime, policy.rho_prime)
+            drawn = _play_epochs(log, policy, streams, rnd_words, feedback, zeta <= 1.0)
         _gather(log, spec, oracle)
-        if n_read > horizon:
-            st = policy.state
+        if zeta > 1.0:
             # ζ >= 2 snaps every estimate to 1.0; a one-hot strategy reads no action uniform
-            seed_free = (confidence_widths(horizon, st.delta_prime, st.rho_prime) >= 2.0
-                         and (np.count_nonzero(log.epochs.x, axis=1) == 1).all())
+            seed_free = zeta >= 2.0 and (np.count_nonzero(log.epochs.x, axis=1) == 1).all()
             names = (f.name for f in fields(TrialLog) if f.name not in given)
             held.update((name, copy.copy(getattr(log, name))) for name in names)
             held["xi_seed"] = None if seed_free else xi_seed
@@ -335,19 +335,6 @@ def _schedules(key: tuple) -> dict:
     with every width at least 2 each estimate is the cap 1.0 whatever
     the grid offset, and one-hot strategies read no action uniform."""
     return {}
-
-
-def _reading_count(st, horizon: int) -> int:
-    """``_least_reading_count`` of the policy's probability split."""
-    return _least_reading_count(st.delta_prime, st.rho_prime, horizon)
-
-
-@functools.lru_cache(maxsize=16)
-def _least_reading_count(delta_prime: float, rho_prime: float, horizon: int) -> int:
-    """The least count n with ``confidence_widths(n)`` at most 1, or T+1 if
-    there is none, by bisection (the widths never rise with n)."""
-    narrow = lambda n: confidence_widths(n, delta_prime, rho_prime) <= 1.0  # noqa: E731
-    return 1 + bisect.bisect_left(range(1, horizon + 1), True, key=narrow)
 
 
 def _gather(log, spec, oracle) -> None:
@@ -410,7 +397,7 @@ def _judge_epochs(epochs: np.recarray, spec, oracle) -> None:
     epochs.contains_x_star = (pessimistic <= spec.thresholds[:m] + SAFETY_TOL).all(axis=1)
 
 
-def _play_epochs(log, policy, xi, streams, rnd_words, feedback, n_read) -> int:
+def _play_epochs(log, policy, streams, rnd_words, feedback, fold) -> int:
     """Epoch policies: the strategy is frozen between closes, so each
     epoch is resolved as a whole: its row of the epoch table (the row
     index is its strategy key), its actions (a fill for a one-hot
@@ -418,50 +405,46 @@ def _play_epochs(log, policy, xi, streams, rnd_words, feedback, n_read) -> int:
     uniforms, drawn on first read, up to the first target hit), and its
     pulls, added to the policy's counts.
 
-    The loop draws no feedback but one lazy fold: only before a close at
-    which some count reaches ``n_read`` (the least with width ζ at most
-    1) does ``_draw`` fill the undrawn rounds' columns of ``feedback``
-    and add their successes to ``policy.sums`` (a check skipped when
-    ``n_read`` exceeds T).  Returns the last round drawn; the trial draws
-    the rest, unfolded.  This is exact: before then every refreshed cell
-    ζ exceeds 1, and for any mean in [0, 1] and offset >= 0, (mean -
+    Given ``fold`` (ζ(T) at most 1), ``_draw`` fills each epoch's
+    columns of ``feedback`` and adds their successes to ``policy.sums``
+    before its close, and the start of the last epoch is returned;
+    otherwise nothing is drawn and 0 is returned.  The trial draws the
+    rest, unfolded.  Drawing nothing is exact: every cell ζ then
+    exceeds 1, and for any mean in [0, 1] and offset >= 0, (mean -
     offset)/ζ rounds to less than 1, so z = 0 and the estimate is
-    min(offset + ζ/2, 1) bit for bit: stale sums give the same bytes.
+    min(offset + ζ/2, 1) bit for bit, whatever the sums hold.
     """
     horizon = log.horizon
     k = log.k
     action_u = None
     table = _epoch_table(epoch_budget(k, horizon) + 1, k, policy.m)
-    st = policy.state
-    drawn = 0  # rounds 1..drawn have their feedback drawn
     lo = 0  # rounds lo+1..hi form the current epoch
     while True:
-        x = validate_strategy(st.x_current)
-        table[st.h] = (
-            st.h, lo + 1, x, st.zeta, st.r_hat, st.g_hat, st.sigma,
+        x = validate_strategy(policy.x_current)
+        table[policy.h] = (
+            policy.h, lo + 1, x, policy.zeta, policy.r_hat, policy.g_hat, policy.sigma,
             policy.last_fallback, True, True,
         )
         support = x.nonzero()[0]
         if support.size == 1:
             arm = support[0]
-            hi = lo + min(int(policy.targets[arm] - st.counts[arm]), horizon - lo)
+            hi = lo + min(int(policy.targets[arm] - policy.counts[arm]), horizon - lo)
             log.actions[lo:hi] = arm
-            st.counts[arm] += hi - lo
+            policy.counts[arm] += hi - lo
         else:
             if action_u is None:
-                action_u = finish_uniforms(label_states(xi, "action"), rnd_words)
-            need = policy.targets - st.counts
+                action_u = finish_uniforms(label_states(policy.xi, "action"), rnd_words)
+            need = policy.targets - policy.counts
             arms = _epoch_actions(x, support, need, action_u, lo, horizon)
             hi = lo + arms.size
             log.actions[lo:hi] = arms
-            st.counts += np.bincount(arms, minlength=k)
+            policy.counts += np.bincount(arms, minlength=k)
         if hi == horizon:
             # a target hit at round T would close at round T+1, which never comes
-            log.epochs = table[: st.h + 1].copy()
-            return drawn
-        if n_read <= horizon and st.counts.max() >= n_read:
-            _draw(drawn, hi, log, streams, rnd_words, feedback, policy.sums)
-            drawn = hi
+            log.epochs = table[: policy.h + 1].copy()
+            return lo if fold else 0
+        if fold:
+            _draw(lo, hi, log, streams, rnd_words, feedback, policy.sums)
         policy.close_epoch()
         lo = hi
 

@@ -201,7 +201,8 @@ class RandomSource:
 
     def __post_init__(self) -> None:
         seed = self.root_seed
-        if not isinstance(seed, int) or seed < 0 or seed > _MASK64:
+        # a bool is an int to Python, but no seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed > _MASK64:
             raise ValueError("root_seed must be an unsigned 64-bit integer")
 
     def _root_state(self) -> int:

@@ -281,7 +281,7 @@ def test_offset_uniforms_match_labeled_streams(reference_soft, algo):
     policy = make_policy(algo, reference_soft, 1000, 0.05, 0.2, xi, solve_oracle(reference_soft))
     arms = np.array([4, 0, 2])
     for h in (1, 63, 64, 65, 127, 128, 2**40, 64):
-        policy.state.h = h
+        policy.h = h
         grid = policy._offset_uniforms(arms)
         assert grid.shape == (policy.m + 1, arms.size)
         for j, a in enumerate(arms.tolist()):
@@ -321,11 +321,11 @@ def test_close_epoch_guards(reference_soft, algo):
         return make_policy(algo, reference_soft, horizon, 0.05, 0.2, RandomSource(1), oracle)
 
     overshot = policy()
-    overshot.state.counts = overshot.targets + 1
+    overshot.counts = overshot.targets + 1
     with pytest.raises(RuntimeError, match="doubling discipline violated"):
         overshot.close_epoch()
 
     last = policy()
-    last.state.h = epoch_budget(reference_soft.k, horizon)
+    last.h = epoch_budget(reference_soft.k, horizon)
     with pytest.raises(RuntimeError, match="exceeded budget"):
         last.close_epoch()

@@ -31,8 +31,8 @@ def test_parameter_split_values_exact():
     oracle = solve_oracle(spec)
     pol = make_policy("debora", spec, 1024, 0.05, 0.2, RandomSource(1), oracle)
     # split by 2 * K * ceil(log2 T) = 2 * 4 * 10
-    assert pol.state.delta_prime == 0.05 / 80
-    assert pol.state.rho_prime == 0.2 / 80
+    assert pol.delta_prime == 0.05 / 80
+    assert pol.rho_prime == 0.2 / 80
 
     spec2 = instance_from_dict(
         {
@@ -48,8 +48,8 @@ def test_parameter_split_values_exact():
     for name in ("debora-s", "debora-h"):
         pol2 = make_policy(name, spec2, 1024, 0.05, 0.2, RandomSource(1), oracle2)
         # split by 2 * (m+1) * K^2 * ceil(log2 T) = 2 * 3 * 16 * 10
-        assert pol2.state.delta_prime == 0.05 / 960
-        assert pol2.state.rho_prime == 0.2 / 960
+        assert pol2.delta_prime == 0.05 / 960
+        assert pol2.rho_prime == 0.2 / 960
 
 
 def test_debora_on_constrained_instance_ignores_costs():

@@ -260,9 +260,8 @@ def _edge_instance(k: int, horizon: int):
 )
 @example(spec=_edge_instance(1, 300), seeds=(1, 2), delta_rho=(0.05, 0.2))
 @example(spec=_edge_instance(4, 1), seeds=(3, 4), delta_rho=(0.05, 0.2))
-# a reading split: debora's counts reach the least reading count (about
-# 2.5e4) at 32768, so its first fold draws rounds 1..32768 in four
-# chunks, and the sums branch below runs
+# a reading split: debora's zeta(T) is at most 1, so it folds before
+# every close and the sums branch below runs
 @example(spec=_edge_instance(1, 40_000), seeds=(5, 6), delta_rho=(0.01, 0.9))
 def test_trial_invariants_on_random_instances(spec, seeds, delta_rho):
     oracle = solve_oracle(spec)
@@ -335,18 +334,15 @@ def test_trial_invariants_on_random_instances(spec, seeds, delta_rho):
             cap = 1.0 / (1.0 + oracle.lambda_min)
             assert all(0.0 <= rec.sigma <= cap for rec in log.epochs)
         # every epoch's pulls add up to the whole log; successes are
-        # folded only before a close that reads data, so with c the
-        # counts over the rounds before the final epoch, the sums are
-        # the log's successes over those rounds if zeta(max c) <= 1, and
-        # all zero otherwise
+        # folded before every close when zeta(T) <= 1, so the sums are
+        # the log's successes over the rounds before the final epoch
+        # then, and all zero otherwise
         (policy,) = policies
         played = log.actions == np.arange(spec.k)[:, None]
         signals = np.vstack([log.rewards, log.costs[: policy.m]])
-        assert np.array_equal(policy.state.counts, played.sum(axis=1))
+        assert np.array_equal(policy.counts, played.sum(axis=1))
         before = log.epochs.t_start[-1] - 1
-        c = played[:, :before].sum(axis=1)
-        st_ = policy.state
-        if confidence_widths(c.max(), st_.delta_prime, st_.rho_prime) <= 1.0:
+        if confidence_widths(spec.horizon, policy.delta_prime, policy.rho_prime) <= 1.0:
             successes = [[row[:before][arm[:before]].sum() for arm in played] for row in signals]
         else:
             successes = np.zeros_like(policy.sums)
@@ -377,10 +373,11 @@ def test_epoch_tables_read_no_data_while_widths_exceed_one(spec, algo, horizon, 
     equal throughout when no close does.
 
     The property is checked on eager trials, whose successes are folded
-    before every close (a reading count of 1), so a policy that read
-    data too early would break it; each lazy trial, folding only before
-    closes that can read data, must equal its eager twin.  The schedule
-    cache is emptied before each trial, so every trial plays."""
+    before every close (the harness's ζ(T) patched to 0), so a policy
+    that read data too early would break it; each unpatched trial,
+    which folds only when ζ(T) is at most 1, must equal its eager twin.
+    The schedule cache is emptied before each trial, so every trial
+    plays."""
     oracle = solve_oracle(spec)
     xi, *envs = seeds
     kwargs = dict(delta=delta_rho[0], rho=delta_rho[1], horizon=horizon, oracle=oracle)
@@ -389,14 +386,14 @@ def test_epoch_tables_read_no_data_while_widths_exceed_one(spec, algo, horizon, 
         harness._schedules.cache_clear()
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(harness, "_reading_count", lambda state, horizon: 1)
+                patch.setattr(harness, "confidence_widths", lambda *args: 0.0)
                 eager = run_trial(spec, algo, xi, env, **kwargs)
         except ConfigError:
             assert algo == "debora-h" and not oracle.lambda_min > 0.0
             return
         harness._schedules.cache_clear()
-        lazy = run_trial(spec, algo, xi, env, **kwargs)
-        assert eager.equals(lazy) and eager.regret_total == lazy.regret_total
+        unpatched = run_trial(spec, algo, xi, env, **kwargs)
+        assert eager.equals(unpatched) and eager.regret_total == unpatched.regret_total
         tables.append(eager.epochs)
     a, b = tables
     reads = np.flatnonzero(a.zeta.min(axis=1) <= 1.0)
@@ -418,27 +415,26 @@ def _naive_trial(spec, algo, seeds, horizon, oracle):
     estimates."""
     xi_seed, env_seed = seeds
     policy = make_policy(algo, spec, horizon, 0.05, 0.2, RandomSource(xi_seed), oracle)
-    state, rows = policy.state, len(policy.sums)
+    rows = len(policy.sums)
     uniforms = first_uniforms(RandomSource(xi_seed), "action", rnd=np.arange(1, horizon + 1))
     streams, words = FeedbackStreams(spec, RandomSource(env_seed)), round_words(horizon)
     actions = np.empty(horizon, dtype=np.int32)
     feedback = np.empty((spec.m + 1, horizon), dtype=bool)
-    starts, epochs = [1], [(state.x_current.copy(), state.r_hat.copy(), state.g_hat.copy())]
+    starts, epochs = [1], [(policy.x_current.copy(), policy.r_hat.copy(), policy.g_hat.copy())]
     for t in range(1, horizon + 1):
-        a = actions[t - 1] = index_from_cdf(np.cumsum(state.x_current), uniforms[t - 1])
+        a = actions[t - 1] = index_from_cdf(np.cumsum(policy.x_current), uniforms[t - 1])
         feedback[:, t - 1] = streams.draw(a, words[t - 1])
-        state.counts[a] += 1
+        policy.counts[a] += 1
         policy.sums[:, a] += feedback[:rows, t - 1]
-        if state.counts[a] == policy.targets[a] and t < horizon:
+        if policy.counts[a] == policy.targets[a] and t < horizon:
             policy.close_epoch()
             starts.append(t + 1)
-            epochs.append((state.x_current.copy(), state.r_hat.copy(), state.g_hat.copy()))
+            epochs.append((policy.x_current.copy(), policy.r_hat.copy(), policy.g_hat.copy()))
     return actions, feedback, starts, [np.array(column) for column in zip(*epochs)]
 
 
 def _clear_width_caches() -> None:
     estimator._width_constants.cache_clear()
-    harness._least_reading_count.cache_clear()
     harness._schedules.cache_clear()
 
 
@@ -460,7 +456,7 @@ def test_naive_loop_equals_the_trial(spec, algo, horizon, scale, seeds):
     epochs and picks the strategies and estimates that a naive per-round
     loop does, bit for bit: in the capped regime, and with every width ζ
     scaled by 1e-4 (the numerator of ``estimator._width_constants`` times
-    1e-8), where closes read data and the lazy fold adds real sums."""
+    1e-8), where closes read data and the fold adds real sums."""
     oracle = solve_oracle(spec)
     constants = estimator._width_constants
 

@@ -155,9 +155,10 @@ def _fresh(spec, algo, xi_seed, env_seed, **kwargs):
 
 
 def _counted_policies(monkeypatch) -> list:
-    """Patch ``harness.make_policy`` to count its calls in the list it returns."""
+    """Patch ``harness.make_policy`` to keep each policy it makes in the
+    list it returns."""
     made = []
-    monkeypatch.setattr(harness, "make_policy", lambda *args: made.append(1) or make_policy(*args))
+    monkeypatch.setattr(harness, "make_policy", lambda *args: made.append(make_policy(*args)) or made[-1])
     return made
 
 
@@ -194,8 +195,8 @@ def test_seed_free_schedule_serves_any_algorithm_seed(request, monkeypatch, inst
     horizon = 3000
     kwargs = dict(delta=0.05, rho=0.2, horizon=horizon)
     first = _fresh(spec, algo, 41, 1, **kwargs)
-    st = make_policy(algo, spec, horizon, 0.05, 0.2, RandomSource(41), solve_oracle(spec)).state
-    capped = confidence_widths(horizon, st.delta_prime, st.rho_prime) >= 2.0
+    policy = make_policy(algo, spec, horizon, 0.05, 0.2, RandomSource(41), solve_oracle(spec))
+    capped = confidence_widths(horizon, policy.delta_prime, policy.rho_prime) >= 2.0
     one_hot = (np.count_nonzero(first.epochs.x, axis=1) == 1).all()
     made = _counted_policies(monkeypatch)
     second = run_trial(spec, algo, 42, 2, **kwargs)
@@ -221,8 +222,8 @@ def test_widths_below_two_keep_the_schedule_tied_to_its_seed(monkeypatch, horizo
     fresh run; at T=1e4 the seeds give 3 distinct estimate tables."""
     spec = instance_from_dict(_ONE_ARM)
     kwargs = dict(delta=0.01, rho=0.9, horizon=horizon)
-    st = make_policy("debora", spec, horizon, 0.01, 0.9, RandomSource(1), solve_oracle(spec)).state
-    assert 1.0 < confidence_widths(horizon, st.delta_prime, st.rho_prime) < 2.0
+    policy = make_policy("debora", spec, horizon, 0.01, 0.9, RandomSource(1), solve_oracle(spec))
+    assert 1.0 < confidence_widths(horizon, policy.delta_prime, policy.rho_prime) < 2.0
     _fresh(spec, "debora", 9, 109, **kwargs)
     made = _counted_policies(monkeypatch)
     logs = []
@@ -304,6 +305,49 @@ def test_reading_trial_is_never_held():
     assert second.equals(_fresh(spec, "debora", 11, 14, **kwargs))
 
 
+def _counted_draws(monkeypatch) -> list:
+    """Patch ``harness._draw`` to record the (lo, hi) round range of each
+    call in the list it returns."""
+    draw, calls = harness._draw, []
+
+    def counted(lo, hi, *args):
+        calls.append((int(lo), int(hi)))
+        return draw(lo, hi, *args)
+
+    monkeypatch.setattr(harness, "_draw", counted)
+    return calls
+
+
+@pytest.mark.parametrize("algo", ["debora", "debora-s", "debora-h"])
+def test_capped_trial_draws_once_and_folds_nothing(reference_soft, monkeypatch, algo):
+    """With ζ(T) > 1 no close can read data: the trial draws all its
+    feedback in one ``_draw`` from round 0 at its end, and the policy's
+    sums stay zero."""
+    horizon = 3000
+    made, calls = _counted_policies(monkeypatch), _counted_draws(monkeypatch)
+    _fresh(reference_soft, algo, 3, 4, delta=0.05, rho=0.2, horizon=horizon)
+    (policy,) = made
+    assert confidence_widths(horizon, policy.delta_prime, policy.rho_prime) > 1.0
+    assert calls == [(0, horizon)]
+    assert not policy.sums.any()
+
+
+def test_reading_trial_folds_before_every_close(monkeypatch):
+    """With ζ(T) at most 1 (one arm, δ=0.01, ρ=0.9, T=4e4: ζ(T) is about
+    0.76) the trial draws each epoch before its close and the last epoch
+    at its end, epoch_count + 1 calls over consecutive ranges, and the
+    sums hold the rewards of every epoch but the last."""
+    spec, horizon = instance_from_dict(_ONE_ARM), 40_000
+    made, calls = _counted_policies(monkeypatch), _counted_draws(monkeypatch)
+    log = _fresh(spec, "debora", 5, 6, delta=0.01, rho=0.9, horizon=horizon)
+    (policy,) = made
+    assert confidence_widths(horizon, policy.delta_prime, policy.rho_prime) <= 1.0
+    assert len(calls) == log.epoch_count + 1
+    starts = (log.epochs.t_start - 1).tolist()
+    assert calls == list(zip(starts, starts[1:] + [horizon]))
+    assert policy.sums.tolist() == [[np.count_nonzero(log.rewards[: starts[-1]])]]
+
+
 def _tamper(log) -> None:
     """Change one entry of every array a log holds."""
     columns = [log.epochs[name] for name in log.epochs.dtype.names]
@@ -364,6 +408,24 @@ def test_bad_horizon_is_rejected_before_the_oracle(reference_soft, monkeypatch, 
                 reference_soft, "debora", rho=0.2, delta=0.05, n_pairs=1, seed=1, horizon=horizon
             )
     assert solved == []
+
+
+@pytest.mark.parametrize("seed", [True, False])
+@pytest.mark.parametrize("entry", ["xi", "env", "batch", "pairs"])
+def test_bool_seed_is_rejected(reference_soft, entry, seed):
+    """A bool is an int to Python, but no seed: an algorithm or
+    environment seed, and a batch's or a replicability run's master
+    seed, that is a bool gets the error of any other bad seed."""
+    kwargs = dict(delta=0.05, rho=0.2, horizon=10)
+    with pytest.raises(ValueError, match="root_seed must be an unsigned 64-bit integer"):
+        if entry == "xi":
+            run_trial(reference_soft, "debora", seed, 2, **kwargs)
+        elif entry == "env":
+            run_trial(reference_soft, "debora", 1, seed, **kwargs)
+        elif entry == "batch":
+            run_batch(reference_soft, "debora", trials=1, seed=seed, **kwargs)
+        else:
+            run_replicability_experiment(reference_soft, "debora", n_pairs=1, seed=seed, **kwargs)
 
 
 @pytest.mark.parametrize("trials", [0, -2, True])
