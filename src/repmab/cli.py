@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .algorithms import ALGORITHM_NAMES, ConfigError, check_delta_rho
-from .environment import ValidationError, load_instance
+from .environment import HORIZON_LIMIT, ValidationError, load_instance
 from .harness import (
     aggregate_and_export,
     export_replicability,
@@ -94,8 +94,11 @@ def _load_config(path: str | None) -> dict:
     for key, value in payload.items():
         kind = _CONFIG_KEYS[key]
         accepted = (int, float) if kind is float else kind
-        # JSON true/false decode to bool, a subclass of int
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        # JSON true/false decode to bool, a subclass of int; a float key's
+        # integer must fit in a float
+        if isinstance(value, bool) or not isinstance(value, accepted) or (
+            kind is float and abs(value) > sys.float_info.max
+        ):
             raise ValidationError(
                 f"{path}: config key {key!r} must be a {kind.__name__}, got {value!r}"
             )
@@ -119,9 +122,11 @@ def _check_seed(seed: int) -> int:
 
 
 def _check_count(value: int | None, key: str) -> int | None:
-    """Counts (horizon, trials, pairs) are >= 1; None keeps the default."""
+    """Counts (horizon, trials, pairs) are >= 1, a horizon below 2**53; None keeps the default."""
     if value is not None and value < 1:
         raise ValidationError(f"--{key} must be a positive integer, got {value!r}")
+    if key == "horizon" and value is not None and value >= HORIZON_LIMIT:
+        raise ValidationError(f"--horizon must be below 2**53, got {value}")
     return value
 
 

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 SAFETY_TOL = 1e-9
+# horizons stop below 2**53, where float64 success sums stop being exact
+HORIZON_LIMIT = 2**53
 
 
 class ValidationError(ValueError):
@@ -104,6 +106,8 @@ def _shape_problems(r, g, a, horizon, family) -> list[str]:
             out.append(f"thresholds[{i}] = {bound!r} outside [0, 1]")
     if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
         out.append(f"horizon must be a positive integer, got {horizon!r}")
+    elif horizon >= HORIZON_LIMIT:
+        out.append(f"horizon must be below 2**53, got {horizon!r}")
     if family != "bernoulli":
         out.append(f"unsupported distribution family {family!r}")
     return out

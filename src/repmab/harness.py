@@ -67,6 +67,7 @@ import numpy as np
 from . import environment
 from .algorithms import Ucb1, epoch_budget, make_policy
 from .environment import (
+    HORIZON_LIMIT,
     FeedbackStreams,
     InstanceSpec,
     OracleSolution,
@@ -316,13 +317,16 @@ def run_trial(
 
 def _check_horizon(spec: InstanceSpec, horizon) -> int:
     """The trial horizon: ``spec.horizon`` if ``horizon`` is None, else
-    ``horizon``, which must be a whole number of at least one round."""
-    # a bool is an int to Python, but no count of rounds
-    if isinstance(horizon, bool) or horizon is not None and not float(horizon).is_integer():
+    ``horizon``, a whole number of rounds from 1 to below 2**53."""
+    # a bool is an int to Python, but no count of rounds; an int is never cast to a float
+    whole = horizon is None or isinstance(horizon, (int, np.integer))
+    if isinstance(horizon, bool) or not (whole or float(horizon).is_integer()):
         raise ValueError(f"horizon must be a whole number of rounds, got {horizon!r}")
     horizon = spec.horizon if horizon is None else int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if horizon >= HORIZON_LIMIT:
+        raise ValueError(f"horizon must be below 2**53, got {horizon}")
     return horizon
 
 

@@ -2,11 +2,14 @@
 
 Feasible regions here are the simplex intersected with linear
 inequality constraints.  The solver is a dense two-phase tableau
-simplex with Bland's rule and fixed scan order, so identical inputs
-pivot identically on every run.  Among optimal vertices the returned
-point is canonical: mass is pushed onto low arm indices first
-(lexicographic preference), because a set-valued argmax is useless to
-a replicable caller.
+simplex with Bland's rule, so identical inputs pivot identically on
+every run.  Each pivot's choice is two array scans: the entering
+column is the first index with a positive reduced cost, and the
+leaving row is, among the rows at the minimum ratio, the one whose
+basic variable has the lowest index.  Among optimal vertices the
+returned point is canonical: mass is pushed onto low arm indices
+first (lexicographic preference), because a set-valued argmax is
+useless to a replicable caller.
 
 ``brute_force_optimum`` enumerates basic feasible points directly and
 exists only as an independent test oracle for the simplex path.
@@ -66,48 +69,41 @@ class SimplexPolytopeLP:
         object.__setattr__(self, "bounds", bnd)
 
 
-def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    piv = tab[row, col]
-    tab[row] /= piv
+def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int, buf: np.ndarray) -> None:
+    """Pivot on (row, col); ``buf`` is scratch of ``tab``'s shape."""
+    prow = tab[row]
+    prow /= prow[col]
     colvals = tab[:, col].copy()
     colvals[row] = 0.0
-    tab -= np.outer(colvals, tab[row])
+    np.multiply(colvals[:, None], prow, out=buf)
+    tab -= buf
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
 
 
-def _bland(tab: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int) -> np.ndarray:
+def _bland(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray, ncols: int) -> np.ndarray:
     """Pivot to optimality under Bland's rule; returns final reduced costs.
 
-    Entering: the lowest-index column with positive reduced cost.
-    Leaving: among minimum-ratio rows, the one whose basic variable has
-    the lowest index.  Fixed scan order keeps the pivot sequence, and
-    hence the output, identical across runs.
+    Entering: the first index where ``reduced > _PIVOT_TOL``.  Leaving:
+    among rows where ``col > _PIVOT_TOL``, those at the minimum of
+    ``rhs / col``, and of them the one whose basic variable (``basis``,
+    an int array updated in place) has the lowest index.
     """
-    m = tab.shape[0]
+    cost_n, body, rhs = cost[:ncols], tab[:, :ncols], tab[:, -1]
+    buf = np.empty_like(tab)
     for _ in range(100_000):
-        reduced = cost[:ncols] - cost[basis] @ tab[:, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] > _PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        reduced = cost_n - cost[basis] @ body
+        entering = int((reduced > _PIVOT_TOL).argmax())
+        if not reduced[entering] > _PIVOT_TOL:
             return reduced
-        col = tab[:, entering]
-        rhs = tab[:, -1]
-        leave = -1
-        best = 0.0
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = rhs[i] / col[i]
-                if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave = i
-                    best = ratio
-        if leave < 0:
+        col = body[:, entering]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             raise Infeasible("linear program is unbounded")
-        _pivot(tab, basis, leave, entering)
+        ratios = rhs[rows] / col[rows]
+        ties = rows[ratios == ratios.min()]
+        _pivot(tab, basis, int(ties[basis[ties].argmin()]), entering, buf)
     raise RuntimeError("simplex pivot limit reached")
 
 
@@ -122,36 +118,28 @@ def _solve_standard(a_eq: np.ndarray, b_eq: np.ndarray, cost: np.ndarray):
     b_eq = np.array(b_eq, dtype=np.float64)
     m, n = a_eq.shape
     neg = b_eq < 0.0
-    if np.any(neg):
-        a_eq[neg] *= -1.0
-        b_eq[neg] *= -1.0
+    a_eq[neg] *= -1.0
+    b_eq[neg] *= -1.0
 
     tab = np.hstack([a_eq, np.eye(m), b_eq[:, None]])
-    basis = [n + i for i in range(m)]
+    basis = np.arange(n, n + m)
     phase1_cost = np.concatenate([np.zeros(n), -np.ones(m)])
     _bland(tab, basis, phase1_cost, n + m)
-    residual = float(np.sum(tab[[i for i, j in enumerate(basis) if j >= n], -1]))
+    residual = float(np.sum(tab[basis >= n, -1]))
     if residual > FEAS_TOL:
         raise Infeasible("no feasible point")
 
     # Drive leftover artificials out of the basis; a row with no real
     # coefficients is redundant and gets dropped.
     drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tab[i, j]) > _PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tab, basis, i, pivot_col)
-            else:
-                drop.append(i)
+    for i in np.flatnonzero(basis >= n):
+        real = np.flatnonzero(np.abs(tab[i, :n]) > _PIVOT_TOL)
+        if real.size:
+            _pivot(tab, basis, i, real[0], np.empty_like(tab))
+        else:
+            drop.append(i)
     if drop:
-        keep = [i for i in range(m) if i not in drop]
-        tab = tab[keep]
-        basis = [basis[i] for i in keep]
+        tab, basis = np.delete(tab, drop, axis=0), np.delete(basis, drop)
 
     tab = np.hstack([tab[:, :n], tab[:, -1:]])
     full_cost = np.asarray(cost, dtype=np.float64)
@@ -160,9 +148,8 @@ def _solve_standard(a_eq: np.ndarray, b_eq: np.ndarray, cost: np.ndarray):
     point = np.zeros(n)
     point[basis] = tab[:, -1]
     value = float(full_cost @ point)
-    in_basis = np.zeros(n, dtype=bool)
-    in_basis[basis] = True
-    alternates = bool(np.any(~in_basis & (reduced > -_PIVOT_TOL)))
+    reduced[basis] = -np.inf  # a basic column is no alternate
+    alternates = bool(np.any(reduced > -_PIVOT_TOL))
     return point, value, alternates
 
 

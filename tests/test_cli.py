@@ -295,6 +295,35 @@ def test_bad_delta_rho_exits_one_for_every_algorithm(tmp_path, capsys, command, 
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "case", ["flag", "flag at 2**53", "config", "config delta", "validate", "run"]
+)
+def test_oversized_numbers_exit_one(tmp_path, capsys, case):
+    """A horizon of 2**53 or more, from a flag, a config or an instance
+    file, and a float config key given as an integer too large for a
+    float, are bad input (exit 1, ``error:``), not runtime failures."""
+    from repmab import cli
+
+    instance = INSTANCE_DIR / "reference_soft.json"
+    big_t = tmp_path / "big_t.json"
+    big_t.write_text(json.dumps(json.loads(instance.read_text()) | {"horizon": 10**30}))
+    config = tmp_path / "exp.json"
+    payload = {"instance": str(instance), "algo": "debora", "out": str(tmp_path / "x")}
+    oversized = {"config": {"horizon": 10**400}, "config delta": {"delta": 10**400}}
+    config.write_text(json.dumps(payload | oversized.get(case, {})))
+    run = ["run", "--instance", str(instance), "--algo", "debora", "--out", str(tmp_path / "x")]
+    argv = {
+        "flag": [*run, "--horizon", str(10**400)],
+        "flag at 2**53": [*run, "--horizon", str(2**53)],
+        "config": ["run", "--config", str(config)],
+        "config delta": ["run", "--config", str(config)],
+        "validate": ["validate", "--instance", str(big_t)],
+        "run": ["run", "--instance", str(big_t), "--algo", "debora", "--out", str(tmp_path / "x")],
+    }[case]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("algo", ["debora-h", "ucb1"])
 def test_summary_medians_are_numpy_medians(tmp_path, algo):
     """Three trials whose regret, violation or epoch counts differ: the

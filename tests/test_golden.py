@@ -92,6 +92,7 @@ EXPORT_DIGESTS = {
 }
 
 OFFSET_DIGEST = "9079d9d4809df6e88b1a2c81ea83d8c20622163734dd7a6450052bda5a7db0f4"
+READING_DIGEST = "9acd1e54e2295d2194ccedeaf6f92f3fc7706eccf64b4eb1e3931eec16ae875f"
 
 
 class _Digest:
@@ -175,6 +176,33 @@ def test_offset_digest():
         below_cap += int((log.epochs[-1].r_hat < 1.0).sum())
     assert below_cap == len(SEEDS)
     assert digest.hexdigest() == OFFSET_DIGEST
+
+
+def test_reading_digest(monkeypatch):
+    """One arm with a mean of 0.97, above the cells its last closes use
+    (ζ(T) = 0.63), so some estimate depends on the folded sums: the
+    digest pins the epoch tables of eight trials, and at least one
+    epoch's estimate differs from an unfolded twin's, whose ζ(T) is
+    patched above 1 so that nothing is folded."""
+    spec = instance_from_dict(
+        {"K": 1, "m": 0, "reward_means": [0.97], "cost_means": [], "thresholds": [], "horizon": 100_000}
+    )
+    digest = _Digest()
+    differs = 0
+    for seeds in ((11, 22), (1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (12, 13), (14, 15)):
+        harness._schedules.cache_clear()
+        log = run_trial(spec, "debora", *seeds, delta=0.01, rho=0.9)
+        trial_digest(digest, log)
+        for rec in log.epochs:
+            digest.array(rec.r_hat, "<f8")
+            digest.array(rec.zeta, "<f8")
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "confidence_widths", lambda *args: 1.5)
+            twin = run_trial(spec, "debora", *seeds, delta=0.01, rho=0.9)
+        harness._schedules.cache_clear()
+        differs += int((log.epochs.r_hat != twin.epochs.r_hat).any(axis=1).sum())
+    assert differs >= 1
+    assert digest.hexdigest() == READING_DIGEST
 
 
 @pytest.mark.parametrize("algo", sorted(EXPORT_DIGESTS))

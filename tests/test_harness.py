@@ -390,9 +390,26 @@ def test_non_integral_horizon_is_rejected_before_any_work(reference_soft, monkey
 
 
 @pytest.mark.parametrize(
+    "horizon", [2**53, 10**400, np.uint64(2**63), 1e300], ids=["2**53", "10**400", "uint64", "1e300"]
+)
+@pytest.mark.parametrize("algo", ["debora", "ucb1"])
+def test_horizon_of_2_53_or_more_is_rejected_before_any_work(reference_soft, monkeypatch, algo, horizon):
+    """Float64 success sums are exact only below 2**53 rounds; an int
+    horizon is compared with that limit without a float conversion, which
+    would overflow."""
+    def no_work(*args):
+        raise AssertionError("work began before the horizon was checked")
+
+    monkeypatch.setattr(harness, "solve_oracle", no_work)
+    monkeypatch.setattr(harness, "make_policy", no_work)
+    with pytest.raises(ValueError, match=rf"horizon must be below 2\*\*53, got {int(horizon)}$"):
+        run_trial(reference_soft, algo, 1, 2, delta=0.05, rho=0.2, horizon=horizon)
+
+
+@pytest.mark.parametrize(
     "horizon, message",
     [(0, "at least 1, got 0"), (1.5, "a whole number of rounds, got 1.5"),
-     (True, "a whole number of rounds, got True")],
+     (True, "a whole number of rounds, got True"), (2**53, r"below 2\*\*53, got 9007199254740992")],
 )
 @pytest.mark.parametrize("entry", ["batch", "pairs"])
 def test_bad_horizon_is_rejected_before_the_oracle(reference_soft, monkeypatch, entry, horizon, message):

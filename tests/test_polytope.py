@@ -1,11 +1,15 @@
 """Tests for the deterministic simplex LP solver and its brute-force twin."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repmab import polytope
 from repmab.polytope import (
+    _PIVOT_TOL,
     Infeasible,
     SimplexPolytopeLP,
     brute_force_optimum,
@@ -183,3 +187,113 @@ def test_check_feasible_raises_exactly_when_zero_objective_solve_does(rows):
     except Infeasible:
         feasible = False
     assert feasible == solved
+
+
+def _reference_pivot(tab, basis, row, col):
+    piv = tab[row, col]
+    tab[row] /= piv
+    colvals = tab[:, col].copy()
+    colvals[row] = 0.0
+    tab -= np.outer(colvals, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def _reference_bland(tab, basis, cost, ncols):
+    """Bland's rule by scalar scans, one Python test per column and then
+    per row, over a list ``basis``: the reference for ``polytope._bland``."""
+    m = tab.shape[0]
+    for _ in range(100_000):
+        reduced = cost[:ncols] - cost[basis] @ tab[:, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if reduced[j] > _PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return reduced
+        col = tab[:, entering]
+        rhs = tab[:, -1]
+        leave = -1
+        best = 0.0
+        for i in range(m):
+            if col[i] > _PIVOT_TOL:
+                ratio = rhs[i] / col[i]
+                if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave = i
+                    best = ratio
+        if leave < 0:
+            raise Infeasible("linear program is unbounded")
+        _reference_pivot(tab, basis, leave, entering)
+    raise RuntimeError("simplex pivot limit reached")
+
+
+_QUARTER = st.integers(-4, 4).map(lambda q: q / 4)
+
+
+@st.composite
+def _tableaux(draw):
+    """A tableau over an identity basis of m columns after n others, with
+    quarter-step entries, right-hand sides that are often zero and a
+    duplicated row, so that ratios and reduced costs tie; the cost is
+    phase 1's or drawn, and a drawn one can make the program unbounded."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    body = draw(st.lists(st.lists(_QUARTER, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), min_size=m, max_size=m))
+    copy_from = draw(st.integers(0, m - 1))
+    body[-1], rhs[-1] = list(body[copy_from]), rhs[copy_from]
+    if draw(st.booleans()):
+        cost = [0.0] * n + [-1.0] * m
+    else:
+        cost = draw(st.lists(_QUARTER, min_size=n + m, max_size=n + m))
+    tab = np.hstack([np.array(body), np.eye(m), np.array(rhs)[:, None]])
+    return tab, np.array(cost), n + m
+
+
+def _run_bland(bland, tab, basis, cost, ncols):
+    try:
+        return bland(tab, basis, cost, ncols).tobytes()
+    except Infeasible as exc:
+        return repr(exc)
+
+
+@given(_tableaux())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_bland_matches_the_scalar_reference(case):
+    """The array scans of ``_bland`` make the scalar reference's pivots:
+    the same final tableau bytes, basis and reduced-cost bytes, or the
+    same ``Infeasible``, on tableaux built to tie."""
+    tab, cost, ncols = case
+    m = tab.shape[0]
+    ref_tab, ref_basis = tab.copy(), list(range(ncols - m, ncols))
+    basis = np.arange(ncols - m, ncols)
+    expected = _run_bland(_reference_bland, ref_tab, ref_basis, cost, ncols)
+    assert _run_bland(polytope._bland, tab, basis, cost, ncols) == expected
+    assert tab.tobytes() == ref_tab.tobytes()
+    assert basis.tolist() == ref_basis
+
+
+def test_many_arm_lp_digest(monkeypatch):
+    """``solve`` and ``least_violation_strategy`` on four seeded K=50, m=3
+    instances shaped like the benchmark's (each threshold 0.05 above the
+    uniform strategy's cost), pinned by each x's bytes and repr(value).
+    The fallback LP ties on every one, so the digest covers four K-step
+    ``_lex_refine`` runs."""
+    refined = []
+    lex_refine = polytope._lex_refine
+    monkeypatch.setattr(polytope, "_lex_refine", lambda *a: refined.append(1) or lex_refine(*a))
+    digest = hashlib.sha256()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        rewards = rng.uniform(0.05, 0.95, 50)
+        costs = rng.uniform(0.05, 0.95, (3, 50))
+        thresholds = costs.mean(axis=1) + 0.05
+        for x, value in (
+            solve(SimplexPolytopeLP(rewards, costs, thresholds)),
+            least_violation_strategy(costs, thresholds),
+        ):
+            digest.update(x.tobytes())
+            digest.update(repr(value).encode())
+    assert len(refined) == 4
+    assert digest.hexdigest() == "9c388f94f2caf3285da48243fd2e7681c69ab10839c932b251d493536f35545c"
