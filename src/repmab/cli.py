@@ -5,20 +5,21 @@ Subcommands:
   replicability  paired trials with shared algorithm randomness
   validate       check an instance file and report problems
 
-Values may come from a JSON experiment config (--config); explicit
-command-line flags override config values.  Exit codes: 0 success,
-1 validation/configuration error, 2 unexpected runtime failure.
+Each option is declared once, in ``_OPTIONS``; its value is its flag,
+else its key in a JSON experiment config (--config), else its default.
+Exit codes: 0 success, 1 validation/configuration error (a bad flag, an
+unreadable or undecodable file, a value of the wrong kind or out of
+range), 2 unexpected runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .algorithms import ALGORITHM_NAMES, ConfigError, check_delta_rho
-from .environment import HORIZON_LIMIT, ValidationError, load_instance
+from .environment import HORIZON_LIMIT, ValidationError, is_json_kind, load_instance, read_json
 from .harness import (
     aggregate_and_export,
     export_replicability,
@@ -26,17 +27,20 @@ from .harness import (
     run_replicability_experiment,
 )
 
-# the JSON type each config key takes (float keys also accept integers)
-_CONFIG_KEYS = {
-    "instance": str,
-    "algo": str,
-    "horizon": int,
-    "delta": float,
-    "rho": float,
-    "trials": int,
-    "pairs": int,
-    "seed": int,
-    "out": str,
+_REQUIRED = object()  # the default of an option that must be given
+
+# the options of run and replicability: JSON type (a float option also
+# takes an integer), default (horizon None: the instance's) and help
+_OPTIONS = {
+    "instance": (str, _REQUIRED, "instance JSON file"),
+    "algo": (str, _REQUIRED, "algorithm: " + ", ".join(ALGORITHM_NAMES)),
+    "horizon": (int, None, "override the instance horizon"),
+    "delta": (float, 0.05, "failure probability"),
+    "rho": (float, 0.2, "replicability target"),
+    "seed": (int, 0, "master seed"),
+    "out": (str, _REQUIRED, "output directory"),
+    "trials": (int, 1, "number of trials"),
+    "pairs": (int, 50, "number of trial pairs"),
 }
 
 
@@ -51,24 +55,17 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="repmab", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--instance", help="instance JSON file")
-        p.add_argument("--algo", choices=ALGORITHM_NAMES, help="algorithm name")
-        p.add_argument("--horizon", type=int, help="override the instance horizon")
-        p.add_argument("--delta", type=float, help="failure probability (default 0.05)")
-        p.add_argument("--rho", type=float, help="replicability target (default 0.2)")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--out", help="output directory")
+    for command, count, about in [
+        ("run", "trials", "run independent trials and export results"),
+        ("replicability", "pairs", "run paired-replicability trials"),
+    ]:
+        p = sub.add_parser(command, help=about)
+        for key, (kind, default, text) in _OPTIONS.items():
+            if key not in ("trials", "pairs") or key == count:
+                if default is not None and default is not _REQUIRED:
+                    text += f" (default {default})"
+                p.add_argument(f"--{key}", type=kind, help=text)
         p.add_argument("--config", help="JSON experiment file with default values")
-
-    run_p = sub.add_parser("run", help="run independent trials and export results")
-    common(run_p)
-    run_p.add_argument("--trials", type=int, help="number of trials (default 1)")
-
-    rep_p = sub.add_parser("replicability", help="run paired-replicability trials")
-    common(rep_p)
-    rep_p.add_argument("--pairs", type=int, help="number of trial pairs (default 50)")
 
     val_p = sub.add_parser("validate", help="validate an instance file")
     val_p.add_argument("--instance", required=True, help="instance JSON file")
@@ -78,47 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(payload) - _CONFIG_KEYS.keys())
+    unknown = sorted(set(payload) - _OPTIONS.keys())
     if unknown:
         raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
     for key, value in payload.items():
-        kind = _CONFIG_KEYS[key]
-        accepted = (int, float) if kind is float else kind
-        # JSON true/false decode to bool, a subclass of int; a float key's
-        # integer must fit in a float
-        if isinstance(value, bool) or not isinstance(value, accepted) or (
-            kind is float and abs(value) > sys.float_info.max
-        ):
+        kind = _OPTIONS[key][0]
+        if not is_json_kind(value, kind):
             raise ValidationError(
                 f"{path}: config key {key!r} must be a {kind.__name__}, got {value!r}"
             )
     return payload
-
-
-def _resolve(args, config: dict, key: str, default=None, required: bool = False):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if required and value is None:
-        raise ValidationError(f"missing required option --{key}")
-    return value
-
-
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if seed < 0 or seed >= 2**64:
-        raise ValidationError(f"--seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
 
 
 def _check_count(value: int | None, key: str) -> int | None:
@@ -130,33 +99,42 @@ def _check_count(value: int | None, key: str) -> int | None:
     return value
 
 
-def _trial_options(args, count_key: str, count_default: int):
+def _trial_options(args, count_key: str):
     """Instance, algorithm, trial keyword arguments and output directory
     of ``run`` and ``replicability``, all checked before any trial runs;
     the output directory is created here."""
     config = _load_config(args.config)
-    spec = load_instance(_resolve(args, config, "instance", required=True))
-    algo = _resolve(args, config, "algo", required=True)
-    if algo not in ALGORITHM_NAMES:
-        raise ValidationError(f"unknown algorithm {algo!r}")
+    opt = {}
+    for key, (_, default, _) in _OPTIONS.items():
+        flag = getattr(args, key, None)
+        opt[key] = config.get(key, default) if flag is None else flag
+        if opt[key] is _REQUIRED:
+            raise ValidationError(f"missing required option --{key}")
+    spec = load_instance(opt["instance"])
+    if opt["algo"] not in ALGORITHM_NAMES:
+        raise ValidationError(f"unknown algorithm {opt['algo']!r}")
+    if not 0 <= opt["seed"] < 2**64:
+        raise ValidationError(f"--seed must be an unsigned 64-bit integer, got {opt['seed']}")
     kwargs = dict(
-        delta=float(_resolve(args, config, "delta", 0.05)),
-        rho=float(_resolve(args, config, "rho", 0.2)),
-        seed=_check_seed(_resolve(args, config, "seed", 0)),
-        horizon=_check_count(_resolve(args, config, "horizon"), "horizon"),
+        delta=float(opt["delta"]),
+        rho=float(opt["rho"]),
+        seed=opt["seed"],
+        horizon=_check_count(opt["horizon"], "horizon"),
     )
     check_delta_rho(kwargs["delta"], kwargs["rho"])
-    count = _check_count(_resolve(args, config, count_key, count_default), count_key)
-    out = Path(_resolve(args, config, "out", required=True))
+    count = _check_count(opt[count_key], count_key)
+    if not opt["out"]:
+        raise ValidationError("--out must name a directory, got ''")
+    out = Path(opt["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
         raise ValidationError(f"--out {out}: cannot create output directory: {exc}") from exc
-    return spec, algo, count, kwargs, out
+    return spec, opt["algo"], count, kwargs, out
 
 
 def _cmd_run(args) -> int:
-    spec, algo, trials, kwargs, out_dir = _trial_options(args, "trials", 1)
+    spec, algo, trials, kwargs, out_dir = _trial_options(args, "trials")
     logs = run_batch(spec, algo, trials=trials, **kwargs)
     for path in aggregate_and_export(logs, out_dir=out_dir):
         print(path)
@@ -164,7 +142,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replicability(args) -> int:
-    spec, algo, pairs, kwargs, out_dir = _trial_options(args, "pairs", 50)
+    spec, algo, pairs, kwargs, out_dir = _trial_options(args, "pairs")
     report = run_replicability_experiment(spec, algo, n_pairs=pairs, **kwargs)
     for path in export_replicability(report, out_dir):
         print(path)

@@ -5,12 +5,16 @@ cost signals, plus the cost thresholds and horizon.  The module samples
 feedback from labeled environment streams, solves the oracle programs
 (optimal safe strategy, max-margin strictly safe strategy), and scores
 strategies by expected instantaneous regret and violation.
+
+Every JSON input file (instance or experiment config) is decoded by
+``read_json`` and its values typed by ``is_json_kind``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,10 +141,9 @@ def instance_from_dict(payload: dict, where: str = "instance") -> InstanceSpec:
 
     k = payload["K"]
     m = payload["m"]
-    # JSON true/false decode to bool, a subclass of int
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    if not is_json_kind(k, int) or k < 1:
         problems.append(f"{where}.K must be an integer >= 1, got {k!r}")
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+    if not is_json_kind(m, int) or m < 0:
         problems.append(f"{where}.m must be an integer >= 0, got {m!r}")
     if problems:
         raise ValidationError("\n".join(problems))
@@ -166,7 +169,7 @@ def instance_from_dict(payload: dict, where: str = "instance") -> InstanceSpec:
     ]
     entries += [(f"thresholds[{i}]", v) for i, v in enumerate(thresholds)]
     for name, value in entries:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_json_kind(value, float):
             problems.append(f"{where}.{name} must be a number, got {value!r}")
     if problems:
         raise ValidationError("\n".join(problems))
@@ -191,20 +194,30 @@ def instance_from_dict(payload: dict, where: str = "instance") -> InstanceSpec:
     return spec
 
 
-def load_instance(path: str | Path) -> InstanceSpec:
-    """Load an instance file, reporting decode errors with line numbers."""
-    path = Path(path)
+def is_json_kind(value, kind: type) -> bool:
+    """Whether a decoded JSON value is of ``kind`` (int, float or str): a
+    bool is never a number, and a float may be an integer that fits one."""
+    if isinstance(value, bool):
+        return False
+    if kind is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def read_json(path: str | Path):
+    """Decode a JSON input file; every failure is a ``ValidationError``
+    naming the file, and a decode error gives its line and column."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: cannot read file: {exc}") from exc
-    try:
-        payload = json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
-    return instance_from_dict(payload, where=str(path))
+        raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # not UTF-8, a NUL, past the int digit limit
+        raise ValidationError(f"{path}: cannot read JSON: {exc}") from exc
+
+
+def load_instance(path: str | Path) -> InstanceSpec:
+    """Load and validate an instance file."""
+    return instance_from_dict(read_json(path), where=str(path))
 
 
 @dataclass(frozen=True, eq=False)

@@ -376,11 +376,7 @@ def _gather(log, spec, oracle) -> None:
     log.fallback_count = int(np.count_nonzero(epochs.fallback))
     log.clean_all = bool(epochs.clean.all())
     log.containment_ok = bool(epochs.contains_x_star.all())
-    if len(epochs):  # rounds per key: the epochs' lengths, else the pulls per arm
-        per_key = np.diff(epochs.t_start, append=log.horizon + 1)
-    else:
-        per_key = np.bincount(log.actions, minlength=log.k)
-    log.unsafe_rounds = int(per_key[log.unsafe].sum())
+    log.unsafe_rounds = int(np.count_nonzero(log.per_round(log.unsafe)))
     log.any_unsafe = log.unsafe_rounds > 0
 
 

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 INSTANCE_DIR = Path(__file__).resolve().parents[1] / "instances"
 
@@ -250,8 +252,15 @@ def test_replicability_json_bytes_and_printed_paths_pinned(tmp_path, algo, diges
 
 
 @pytest.mark.parametrize("command", ["run", "replicability"])
-@pytest.mark.parametrize("nested", [False, True])
-def test_out_naming_a_file_exits_one_before_any_trial(tmp_path, monkeypatch, capsys, command, nested):
+# False: --out names a file; True: a directory below a file
+@pytest.mark.parametrize("out_case", [False, True, "empty", "empty in config"])
+def test_out_naming_a_file_exits_one_before_any_trial(
+    tmp_path, monkeypatch, capsys, command, out_case
+):
+    """An --out that names a file, lies below one or is empty (from the
+    flag or the config) is a usage error, caught before any trial runs
+    and before anything is written (an empty one would write into the
+    working directory)."""
     from repmab import cli
 
     def no_trials(*args, **kwargs):
@@ -259,18 +268,24 @@ def test_out_naming_a_file_exits_one_before_any_trial(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(cli, "run_batch", no_trials)
     monkeypatch.setattr(cli, "run_replicability_experiment", no_trials)
+    monkeypatch.chdir(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
-    out = taken / "sub" if nested else taken
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"out": ""}))
     argv = [
         command,
         "--instance", str(INSTANCE_DIR / "reference_unconstrained.json"),
         "--algo", "debora",
-        "--out", str(out),
     ]
+    if out_case == "empty in config":
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--out", {False: str(taken), True: str(taken / "sub"), "empty": ""}[out_case]]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: --out ")
     assert taken.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "taken"]
 
 
 @pytest.mark.parametrize("command", ["run", "replicability"])
@@ -295,33 +310,75 @@ def test_bad_delta_rho_exits_one_for_every_algorithm(tmp_path, capsys, command, 
     assert not (tmp_path / "x").exists()
 
 
+# the instance list whose first entry an oversized-number case replaces
+_ENTRY_LISTS = {
+    "reward": lambda payload: payload["reward_means"],
+    "cost": lambda payload: payload["cost_means"][0],
+    "threshold": lambda payload: payload["thresholds"],
+}
+
+
+def _with_literal(payload: dict, key: str, literal: str) -> str:
+    """JSON text of ``payload`` with ``key`` set to ``literal`` as written
+    (json.dumps cannot format an integer past the 4300-digit limit)."""
+    return json.dumps(payload | {key: 0}).replace(f'"{key}": 0', f'"{key}": {literal}')
+
+
 @pytest.mark.parametrize(
-    "case", ["flag", "flag at 2**53", "config", "config delta", "validate", "run"]
+    "case",
+    [
+        "flag", "flag at 2**53", "config", "config delta", "validate", "run",
+        "validate digits", "config digits",
+        *[f"{command} {entry}" for entry in _ENTRY_LISTS for command in ("validate", "run")],
+    ],
 )
-def test_oversized_numbers_exit_one(tmp_path, capsys, case):
+def test_oversized_numbers_exit_one(tmp_path, monkeypatch, capsys, case):
     """A horizon of 2**53 or more, from a flag, a config or an instance
-    file, and a float config key given as an integer too large for a
-    float, are bad input (exit 1, ``error:``), not runtime failures."""
+    file, a float config key or an instance mean or threshold given as an
+    integer too large for a float, and an integer literal past the
+    interpreter's 4300-digit limit in an instance or config file, are bad
+    input (exit 1, ``error:`` naming the flag or file), not runtime
+    failures, and are caught before any trial runs."""
     from repmab import cli
 
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran with an oversized number")
+
+    monkeypatch.setattr(cli, "run_batch", no_trials)
     instance = INSTANCE_DIR / "reference_soft.json"
-    big_t = tmp_path / "big_t.json"
-    big_t.write_text(json.dumps(json.loads(instance.read_text()) | {"horizon": 10**30}))
+    payload = json.loads(instance.read_text())
+    digits = "9" * 5001
+    command, *rest = case.split()
+    bad = tmp_path / "bad.json"
+    if rest and rest[-1] in _ENTRY_LISTS:
+        _ENTRY_LISTS[rest[-1]](payload)[0] = 10**400
+        bad.write_text(json.dumps(payload))
+    else:
+        bad.write_text(_with_literal(payload, "horizon", digits if rest else str(10**30)))
     config = tmp_path / "exp.json"
-    payload = {"instance": str(instance), "algo": "debora", "out": str(tmp_path / "x")}
-    oversized = {"config": {"horizon": 10**400}, "config delta": {"delta": 10**400}}
-    config.write_text(json.dumps(payload | oversized.get(case, {})))
-    run = ["run", "--instance", str(instance), "--algo", "debora", "--out", str(tmp_path / "x")]
+    key, literal = {
+        "config": ("horizon", str(10**400)),
+        "config delta": ("delta", str(10**400)),
+        "config digits": ("horizon", digits),
+    }.get(case, ("seed", "0"))
+    out = str(tmp_path / "x")
+    options = {"instance": str(instance), "algo": "debora", "out": out}
+    config.write_text(_with_literal(options, key, literal))
+    horizon = str(2**53 if case == "flag at 2**53" else 10**400)
     argv = {
-        "flag": [*run, "--horizon", str(10**400)],
-        "flag at 2**53": [*run, "--horizon", str(2**53)],
+        "flag": ["run", "--instance", str(instance), "--algo", "debora", "--horizon", horizon],
         "config": ["run", "--config", str(config)],
-        "config delta": ["run", "--config", str(config)],
-        "validate": ["validate", "--instance", str(big_t)],
-        "run": ["run", "--instance", str(big_t), "--algo", "debora", "--out", str(tmp_path / "x")],
-    }[case]
+        "validate": ["validate", "--instance", str(bad)],
+        "run": ["run", "--instance", str(bad), "--algo", "debora"],
+    }[command]
+    if command in ("flag", "run"):
+        argv += ["--out", out]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    named = "--horizon" if case in ("flag", "flag at 2**53", "config") else (
+        config if command == "config" else bad
+    )
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("algo", ["debora-h", "ucb1"])
@@ -385,3 +442,85 @@ def test_non_utf8_input_exits_one(tmp_path, capsys, flag):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
     assert not (tmp_path / "out").exists()
+
+
+class _Refused(BaseException):
+    """Raised where a trial would start; ``main`` catches only Exception."""
+
+
+_DIGITS = "<5001 digits>"  # replaced by an integer literal json.dumps cannot format
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([10**400, -(10**400), 2**53, 2**64, -1, 0, 0.5, _DIGITS])
+    | st.sampled_from(["", "\x00", "\ud800"])
+    | st.text(st.characters(blacklist_characters="/\\"), max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+_INSTANCE_ENTRIES = [
+    ("K",), ("m",), ("horizon",), ("family",), ("reward_means",), ("reward_means", 0),
+    ("cost_means",), ("cost_means", 0), ("cost_means", 0, 0), ("thresholds",), ("thresholds", 0),
+]
+# a valid config naming every key; its paths are relative to the test's directory
+_CONFIG = {
+    "instance": "inst.json", "algo": "debora", "horizon": 50, "delta": 0.05, "rho": 0.2,
+    "seed": 0, "out": "out", "trials": 1, "pairs": 1,
+}
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["validate", "run", "replicability"]),
+    target=st.sampled_from(
+        [("instance", *entry) for entry in _INSTANCE_ENTRIES]
+        + [("config", key) for key in _CONFIG]
+    ),
+    value=_JSON_VALUES,
+)
+@example(command="run", target=("config", "out"), value="\x00")
+@example(command="replicability", target=("config", "out"), value="\ud800")
+def test_any_json_value_in_any_input_exits_zero_or_one(
+    tmp_path, monkeypatch, command, target, value
+):
+    """Whatever JSON value stands in a config key or an instance entry
+    (bools, null, strings, nested lists, huge integers, NaN, Infinity, an
+    integer past the digit limit), the CLI accepts it or rejects it with
+    exit 1 before any trial runs: never exit 2."""
+    from repmab import cli
+
+    def refuse(*args, **kwargs):
+        raise _Refused
+
+    monkeypatch.setattr(cli, "run_batch", refuse)
+    monkeypatch.setattr(cli, "run_replicability_experiment", refuse)
+    monkeypatch.chdir(tmp_path)
+    instance, config = tmp_path / "inst.json", tmp_path / "exp.json"
+    payloads = {
+        "instance": json.loads((INSTANCE_DIR / "reference_soft.json").read_text()),
+        "config": dict(_CONFIG),
+    }
+    node = payloads
+    for step in target[:-1]:
+        node = node[step]
+    node[target[-1]] = value
+    for path, payload in [(instance, payloads["instance"]), (config, payloads["config"])]:
+        path.write_text(json.dumps(payload).replace(f'"{_DIGITS}"', "9" * 5001))
+    argv = (
+        ["validate", "--instance", str(instance)]
+        if command == "validate"
+        else [command, "--config", str(config)]
+    )
+    try:
+        code = cli.main(argv)
+    except _Refused:  # every check passed and a trial would run
+        code = 0
+    assert code in (0, 1)

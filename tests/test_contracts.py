@@ -4,7 +4,8 @@ cross-algorithm compatibility rules, and the names modules export."""
 import importlib
 import pkgutil
 import tracemalloc
-from types import SimpleNamespace
+from pathlib import Path
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,6 +132,25 @@ def test_exported_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every name the benchmark's tracer (perfbench/tracer.py) wraps is
+    where it looks it up: a class attribute of the class itself, or a
+    module global.  A rename then fails here, not only in the traced
+    benchmark runs.  The tracer's source is executed, not imported, so
+    no bytecode cache is written under perfbench/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    targets = tracer.layer_targets()
+    assert targets
+    missing = [
+        (owner.__name__, attr)
+        for owner, attr, *_ in targets
+        if not (attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr))
+    ]
+    assert missing == []
 
 
 @pytest.mark.parametrize("algo", ["debora", "debora-s", "debora-h", "ucb1"])

@@ -228,13 +228,14 @@ def test_from_dict_rejects_json_booleans(key, value):
         instance_from_dict(payload)
 
 
-@pytest.mark.parametrize("value", [True, "0.5"])
+@pytest.mark.parametrize("value", [True, "0.5", pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize(
     "key, where", [("reward_means", "[1]"), ("cost_means", "[0][1]"), ("thresholds", "[0]")]
 )
 def test_from_dict_rejects_non_numeric_means(key, where, value):
     """JSON booleans and strings are not means, though numpy would read
-    them as 1.0 and 0.5."""
+    them as 1.0 and 0.5, and an integer too large for a float is not
+    one either (numpy would raise OverflowError)."""
     payload = {
         "K": 2,
         "m": 1,
