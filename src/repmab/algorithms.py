@@ -7,12 +7,16 @@ through the randomized-grid estimator, with the grid cell width matched
 to each arm's sample count (the same width that serves as the
 exploration bonus), then reselect:
 
-* ``debora``      plays the single arm with the highest optimistic index;
 * ``debora-s``    plays the strategy maximizing the optimistic reward over
   the optimistically safe polytope;
-* ``debora-h``    additionally blends that strategy toward a known
-  strictly safe strategy whenever some constraint looks at risk, which
-  keeps every played strategy safe with high probability.
+* ``debora``      solves the same program with no constraint rows, whose
+  answer is the arm with the highest optimistic index, lowest first;
+* ``debora-h``    additionally blends the ``debora-s`` strategy toward a
+  known strictly safe strategy whenever some constraint looks at risk,
+  which keeps every played strategy safe with high probability.
+
+One ``_select`` on the shared base serves all three; ``debora-h`` adds
+its blend over it.
 
 The trial engine plays whatever strategy an epoch policy holds in
 ``x_current``; it never asks which variant produced it, so the
@@ -30,7 +34,7 @@ import math
 import numpy as np
 
 from . import polytope
-from .environment import InstanceSpec, OracleSolution
+from .environment import InstanceSpec, OracleSolution, shown
 from .estimator import confidence_widths, snap_to_grid
 from .polytope import Infeasible, SimplexPolytopeLP
 from .randomness import RandomSource, field_words, finish_uniforms, label_states
@@ -44,6 +48,7 @@ __all__ = [
     "epoch_budget",
     "make_policy",
     "mixing_coefficient",
+    "policy_class",
 ]
 
 # epochs whose grid offsets are hashed in one pass: about 100 KB at
@@ -158,7 +163,9 @@ class _EpochDoublingPolicy:
         self.sums = np.zeros((m + 1, k))
         self._offsets_base = -1  # first epoch of the block in _offsets
         self._offsets = None
-        self.last_fallback = False
+        # one program per trial, validated once: each select rewrites its
+        # objective and rows in place, finite by construction
+        self._lp = SimplexPolytopeLP(np.zeros(k), np.zeros((m, k)), spec.thresholds[:m])
         self._select()
 
     # -- epoch boundary -----------------------------------------------
@@ -219,11 +226,13 @@ class _EpochDoublingPolicy:
             rows.append(label_states(self.xi, "offset-cost", epoch=epochs, arm=arms, cons=cons))
         return finish_uniforms(np.concatenate(rows, axis=1), field_words(None, "rnd"))
 
-    def _update_estimates(self) -> None:
-        raise NotImplementedError
-
     def _select(self) -> None:
-        raise NotImplementedError
+        """Play the optimistic program's answer: reward r_hat + zeta over
+        the strategies whose costs g_hat - zeta meet the thresholds."""
+        lp = self._lp
+        np.add(self.r_hat, self.zeta, out=lp.objective)
+        np.subtract(self.g_hat, self.zeta, out=lp.constraint_matrix)
+        self.x_current, self.last_fallback = _solve_optimistic(lp)
 
 
 class Debora(_EpochDoublingPolicy):
@@ -234,20 +243,11 @@ class Debora(_EpochDoublingPolicy):
 
     def __init__(self, spec, horizon, delta, rho, xi, oracle):
         denominator = 2 * spec.k * max(1, ceil_log2(horizon))
-        super().__init__(
-            spec, horizon, delta, rho, xi, oracle, denominator, track_costs=False
-        )
+        super().__init__(spec, horizon, delta, rho, xi, oracle, denominator, track_costs=False)
 
     def _update_estimates(self) -> None:
         # only the arm just played has new samples
         self._refresh(self.x_current.nonzero()[0])
-
-    def _select(self) -> None:
-        # np.argmax returns the first maximizer: ties go to the lowest arm.
-        arm = int(np.argmax(self.r_hat + self.zeta))
-        x = np.zeros(self.spec.k)
-        x[arm] = 1.0
-        self.x_current = x
 
 
 class DeboraS(_EpochDoublingPolicy):
@@ -258,26 +258,11 @@ class DeboraS(_EpochDoublingPolicy):
 
     def __init__(self, spec, horizon, delta, rho, xi, oracle):
         denominator = 2 * (spec.m + 1) * spec.k * spec.k * max(1, ceil_log2(horizon))
-        # one program per trial, validated once: each close rewrites its
-        # objective (the optimistic rewards) and constraint rows (the
-        # pessimistic costs) in place; the estimates are finite by
-        # construction
-        self._lp = SimplexPolytopeLP(np.zeros(spec.k), np.zeros((spec.m, spec.k)), spec.thresholds)
-        super().__init__(
-            spec, horizon, delta, rho, xi, oracle, denominator, track_costs=True
-        )
+        super().__init__(spec, horizon, delta, rho, xi, oracle, denominator, track_costs=True)
 
     def _update_estimates(self) -> None:
         # never-played arms keep the symmetric prior
         self._refresh(self.counts.nonzero()[0])
-
-    def _select(self) -> None:
-        lp = self._lp
-        np.add(self.r_hat, self.zeta, out=lp.objective)
-        np.subtract(self.g_hat, self.zeta, out=lp.constraint_matrix)
-        x, fallback = _solve_optimistic(lp)
-        self.last_fallback = fallback
-        self.x_current = x
 
 
 class DeboraH(DeboraS):
@@ -364,11 +349,16 @@ def make_policy(
     oracle: OracleSolution,
 ):
     """Instantiate the named policy, validating compatibility."""
-    try:
-        cls = _POLICIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHM_NAMES)}"
-        ) from None
+    cls = policy_class(name)
     check_delta_rho(delta, rho)
     return cls(spec, horizon, delta, rho, xi, oracle)
+
+
+def policy_class(name: str) -> type:
+    """The policy class of an algorithm name; the one algorithm rule."""
+    try:
+        return _POLICIES[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ConfigError(
+            f"unknown algorithm {shown(name)}; choose from {', '.join(ALGORITHM_NAMES)}"
+        ) from None

@@ -18,8 +18,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algorithms import ALGORITHM_NAMES, ConfigError, check_delta_rho
-from .environment import HORIZON_LIMIT, ValidationError, is_json_kind, load_instance, read_json
+from .algorithms import ALGORITHM_NAMES, ConfigError, check_delta_rho, policy_class
+from .environment import HORIZON_LIMIT, ValidationError, is_json_kind, load_instance, read_json, shown
 from .harness import (
     aggregate_and_export,
     export_replicability,
@@ -80,12 +80,12 @@ def _load_config(path: str | None) -> dict:
         raise ValidationError(f"{path}: config must be a JSON object")
     unknown = sorted(set(payload) - _OPTIONS.keys())
     if unknown:
-        raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ValidationError(f"{path}: unknown config keys: {', '.join(map(shown, unknown))}")
     for key, value in payload.items():
         kind = _OPTIONS[key][0]
         if not is_json_kind(value, kind):
             raise ValidationError(
-                f"{path}: config key {key!r} must be a {kind.__name__}, got {value!r}"
+                f"{path}: config key {key!r} must be a {kind.__name__}, got {shown(value)}"
             )
     return payload
 
@@ -93,9 +93,9 @@ def _load_config(path: str | None) -> dict:
 def _check_count(value: int | None, key: str) -> int | None:
     """Counts (horizon, trials, pairs) are >= 1, a horizon below 2**53; None keeps the default."""
     if value is not None and value < 1:
-        raise ValidationError(f"--{key} must be a positive integer, got {value!r}")
+        raise ValidationError(f"--{key} must be a positive integer, got {shown(value)}")
     if key == "horizon" and value is not None and value >= HORIZON_LIMIT:
-        raise ValidationError(f"--horizon must be below 2**53, got {value}")
+        raise ValidationError(f"--horizon must be below 2**53, got {shown(value)}")
     return value
 
 
@@ -111,10 +111,9 @@ def _trial_options(args, count_key: str):
         if opt[key] is _REQUIRED:
             raise ValidationError(f"missing required option --{key}")
     spec = load_instance(opt["instance"])
-    if opt["algo"] not in ALGORITHM_NAMES:
-        raise ValidationError(f"unknown algorithm {opt['algo']!r}")
+    policy_class(opt["algo"])
     if not 0 <= opt["seed"] < 2**64:
-        raise ValidationError(f"--seed must be an unsigned 64-bit integer, got {opt['seed']}")
+        raise ValidationError(f"--seed must be an unsigned 64-bit integer, got {shown(opt['seed'])}")
     kwargs = dict(
         delta=float(opt["delta"]),
         rho=float(opt["rho"]),

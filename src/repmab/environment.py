@@ -7,7 +7,8 @@ feedback from labeled environment streams, solves the oracle programs
 strategies by expected instantaneous regret and violation.
 
 Every JSON input file (instance or experiment config) is decoded by
-``read_json`` and its values typed by ``is_json_kind``.
+``read_json`` and its values typed by ``is_json_kind``; every error that
+echoes an input value shows it through ``shown``.
 """
 
 from __future__ import annotations
@@ -109,11 +110,11 @@ def _shape_problems(r, g, a, horizon, family) -> list[str]:
         if not (0.0 <= bound <= 1.0):
             out.append(f"thresholds[{i}] = {bound!r} outside [0, 1]")
     if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        out.append(f"horizon must be a positive integer, got {horizon!r}")
+        out.append(f"horizon must be a positive integer, got {shown(horizon)}")
     elif horizon >= HORIZON_LIMIT:
-        out.append(f"horizon must be below 2**53, got {horizon!r}")
+        out.append(f"horizon must be below 2**53, got {shown(horizon)}")
     if family != "bernoulli":
-        out.append(f"unsupported distribution family {family!r}")
+        out.append(f"unsupported distribution family {shown(family)}")
     return out
 
 
@@ -135,16 +136,16 @@ def instance_from_dict(payload: dict, where: str = "instance") -> InstanceSpec:
             problems.append(f"{where}: missing required key {key!r}")
     for key in payload:
         if key not in _ALLOWED_KEYS:
-            problems.append(f"{where}: unknown key {key!r}")
+            problems.append(f"{where}: unknown key {shown(key)}")
     if problems:
         raise ValidationError("\n".join(problems))
 
     k = payload["K"]
     m = payload["m"]
     if not is_json_kind(k, int) or k < 1:
-        problems.append(f"{where}.K must be an integer >= 1, got {k!r}")
+        problems.append(f"{where}.K must be an integer >= 1, got {shown(k)}")
     if not is_json_kind(m, int) or m < 0:
-        problems.append(f"{where}.m must be an integer >= 0, got {m!r}")
+        problems.append(f"{where}.m must be an integer >= 0, got {shown(m)}")
     if problems:
         raise ValidationError("\n".join(problems))
 
@@ -152,15 +153,15 @@ def instance_from_dict(payload: dict, where: str = "instance") -> InstanceSpec:
     costs = payload["cost_means"]
     thresholds = payload["thresholds"]
     if not isinstance(reward, list) or len(reward) != k:
-        problems.append(f"{where}.reward_means must be a list of length K={k}")
+        problems.append(f"{where}.reward_means must be a list of length K={shown(k)}")
     if not isinstance(costs, list) or len(costs) != m:
-        problems.append(f"{where}.cost_means must be a list of m={m} rows")
+        problems.append(f"{where}.cost_means must be a list of m={shown(m)} rows")
     else:
         for i, row in enumerate(costs):
             if not isinstance(row, list) or len(row) != k:
-                problems.append(f"{where}.cost_means[{i}] must be a list of length K={k}")
+                problems.append(f"{where}.cost_means[{i}] must be a list of length K={shown(k)}")
     if not isinstance(thresholds, list) or len(thresholds) != m:
-        problems.append(f"{where}.thresholds must be a list of length m={m}")
+        problems.append(f"{where}.thresholds must be a list of length m={shown(m)}")
     if problems:
         raise ValidationError("\n".join(problems))
     entries = [(f"reward_means[{j}]", v) for j, v in enumerate(reward)]
@@ -170,7 +171,7 @@ def instance_from_dict(payload: dict, where: str = "instance") -> InstanceSpec:
     entries += [(f"thresholds[{i}]", v) for i, v in enumerate(thresholds)]
     for name, value in entries:
         if not is_json_kind(value, float):
-            problems.append(f"{where}.{name} must be a number, got {value!r}")
+            problems.append(f"{where}.{name} must be a number, got {shown(value)}")
     if problems:
         raise ValidationError("\n".join(problems))
 
@@ -202,6 +203,18 @@ def is_json_kind(value, kind: type) -> bool:
     if kind is float and isinstance(value, int):
         return abs(value) <= sys.float_info.max
     return isinstance(value, kind)
+
+
+def shown(value, limit: int = 40) -> str:
+    """``repr(value)`` for an error message: in full up to ``limit``
+    characters, else its head and its length; an int with more digits
+    than the interpreter prints is shown by its size, so no input value
+    (a JSON value or a number) makes the message itself raise."""
+    try:
+        text = repr(value)
+    except ValueError:  # only an int past the digit limit fails to print
+        return f"<an int of {value.bit_length()} bits>"
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def read_json(path: str | Path):

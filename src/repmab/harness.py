@@ -45,6 +45,10 @@ key.  Per-round arrays, the epoch of each round among them, are
 expanded from per-key tables on demand, by repeating each epoch's entry
 over its run of rounds, or, for UCB1, through the actions.
 
+``run_trial``, ``run_batch`` and ``run_replicability_experiment`` check
+every input in one prologue, ``_check_inputs``, then their seeds, before
+the oracle's LPs run or a policy is made.
+
 Every output file goes through one of two writers: ``_write_csv`` for
 ``rounds.csv``, ``regret_curve.csv`` and ``pairs.csv``, ``_write_json``
 for ``summary.json`` and ``replicability.json``.  ``rounds.csv`` is
@@ -65,12 +69,13 @@ from pathlib import Path
 import numpy as np
 
 from . import environment
-from .algorithms import Ucb1, epoch_budget, make_policy
+from .algorithms import Ucb1, check_delta_rho, epoch_budget, make_policy, policy_class
 from .environment import (
     HORIZON_LIMIT,
     FeedbackStreams,
     InstanceSpec,
     OracleSolution,
+    shown,
     solve_oracle,
 )
 from .estimator import confidence_widths
@@ -270,11 +275,11 @@ def run_trial(
     the feedback not drawn yet: all of it for a copy, for UCB1 and for
     a trial that folded nothing.
     """
-    horizon = _check_horizon(spec, horizon)
-    if oracle is None:
-        oracle = solve_oracle(spec)
+    horizon = _check_inputs(spec, algo, delta, rho, horizon)
     xi = RandomSource(xi_seed)  # a bad seed raises here, copy or not
     env = RandomSource(env_seed)
+    if oracle is None:
+        oracle = solve_oracle(spec)
     streams, rnd_words = FeedbackStreams(spec, env), round_words(horizon)
     # one row per signal, reward first; the draws write straight into it
     feedback = np.empty((spec.m + 1, horizon), dtype=bool)
@@ -315,18 +320,26 @@ def run_trial(
     return log
 
 
-def _check_horizon(spec: InstanceSpec, horizon) -> int:
-    """The trial horizon: ``spec.horizon`` if ``horizon`` is None, else
-    ``horizon``, a whole number of rounds from 1 to below 2**53."""
+def _check_inputs(spec: InstanceSpec, algo, delta, rho, horizon, **counts) -> int:
+    """Check the algorithm, δ and ρ, each count (at least 1) and the
+    horizon of a run before any work, and return the trial horizon:
+    ``spec.horizon`` if ``horizon`` is None, else ``horizon``, a whole
+    number of rounds from 1 to below 2**53."""
+    policy_class(algo)
+    check_delta_rho(delta, rho)
+    for name, count in counts.items():
+        if isinstance(count, bool) or count < 1:
+            noun = "trial" if name == "trials" else "pair"
+            raise ValueError(f"need at least one {noun}, got {name}={shown(count)}")
     # a bool is an int to Python, but no count of rounds; an int is never cast to a float
     whole = horizon is None or isinstance(horizon, (int, np.integer))
     if isinstance(horizon, bool) or not (whole or float(horizon).is_integer()):
-        raise ValueError(f"horizon must be a whole number of rounds, got {horizon!r}")
+        raise ValueError(f"horizon must be a whole number of rounds, got {shown(horizon)}")
     horizon = spec.horizon if horizon is None else int(horizon)
     if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+        raise ValueError(f"horizon must be at least 1, got {shown(horizon)}")
     if horizon >= HORIZON_LIMIT:
-        raise ValueError(f"horizon must be below 2**53, got {horizon}")
+        raise ValueError(f"horizon must be below 2**53, got {shown(horizon)}")
     return horizon
 
 
@@ -573,11 +586,16 @@ def run_batch(
     horizon: int | None = None,
 ) -> list[TrialLog]:
     """Run ``trials`` independent trials, seeds derived from one master."""
-    if isinstance(trials, bool) or trials < 1:
-        raise ValueError(f"need at least one trial, got trials={trials}")
-    horizon = _check_horizon(spec, horizon)
+    horizon = _check_inputs(spec, algo, delta, rho, horizon, trials=trials)
+    RandomSource(seed)  # a bad master seed raises here, before the oracle
     kwargs = dict(delta=delta, rho=rho, horizon=horizon, oracle=solve_oracle(spec))
     return [run_trial(spec, algo, *trial_seeds(seed, j), **kwargs) for j in range(trials)]
+
+
+# the fields of each pair's record, in the order of pairs.csv's columns
+_PAIRS_HEADER = [
+    "pair", "xi_seed", "env_seed_1", "env_seed_2", "strategies_match", "actions_match"
+]
 
 
 @dataclass
@@ -618,32 +636,19 @@ def run_replicability_experiment(
     deterministic code paths).  Action sequences are compared as well
     and reported separately.
     """
-    if isinstance(n_pairs, bool) or n_pairs < 1:
-        raise ValueError(f"need at least one pair, got n_pairs={n_pairs}")
-    horizon = _check_horizon(spec, horizon)
-    oracle = solve_oracle(spec)
-    mismatches = 0
-    action_mismatches = 0
+    horizon = _check_inputs(spec, algo, delta, rho, horizon, n_pairs=n_pairs)
+    RandomSource(seed)  # a bad master seed raises here, before the oracle
+    kwargs = dict(delta=delta, rho=rho, horizon=horizon, oracle=solve_oracle(spec))
     results = []
     for p in range(n_pairs):
         xi_seed, env_a, env_b = pair_seeds(seed, p)
-        kwargs = dict(delta=delta, rho=rho, horizon=horizon, oracle=oracle)
         log_a = run_trial(spec, algo, xi_seed, env_a, **kwargs)
         log_b = run_trial(spec, algo, xi_seed, env_b, **kwargs)
         same_seq = log_a.same_strategy_sequence(log_b)
         same_act = log_a.same_action_sequence(log_b)
-        mismatches += 0 if same_seq else 1
-        action_mismatches += 0 if same_act else 1
-        results.append(
-            {
-                "pair": p,
-                "xi_seed": xi_seed,
-                "env_seed_1": env_a,
-                "env_seed_2": env_b,
-                "strategies_match": same_seq,
-                "actions_match": same_act,
-            }
-        )
+        results.append(dict(zip(_PAIRS_HEADER, (p, xi_seed, env_a, env_b, same_seq, same_act))))
+    mismatches = sum(not pair["strategies_match"] for pair in results)
+    action_mismatches = sum(not pair["actions_match"] for pair in results)
     half_width = 3.0 * math.sqrt(rho * (1.0 - rho) / n_pairs)
     return ReplicabilityReport(
         pairs=n_pairs,
@@ -791,11 +796,6 @@ def aggregate_and_export(logs: list[TrialLog], out_dir: str | Path) -> list[Path
         out / "regret_curve.csv", ["t", "mean_cum_regret", "mean_cum_violation"], rows
     )
     return [rounds_path, summary_path, curve_path]
-
-
-_PAIRS_HEADER = [
-    "pair", "xi_seed", "env_seed_1", "env_seed_2", "strategies_match", "actions_match"
-]
 
 
 def export_replicability(report: ReplicabilityReport, out_dir: str | Path) -> list[Path]:

@@ -9,7 +9,8 @@ leaving row is, among the rows at the minimum ratio, the one whose
 basic variable has the lowest index.  Among optimal vertices the
 returned point is canonical: mass is pushed onto low arm indices
 first (lexicographic preference), because a set-valued argmax is
-useless to a replicable caller.
+useless to a replicable caller; ``solve`` and
+``least_violation_strategy`` reach it through one tail, ``_canonical``.
 
 ``brute_force_optimum`` enumerates basic feasible points directly and
 exists only as an independent test oracle for the simplex path.
@@ -201,26 +202,28 @@ def _lex_refine(
     e = len(extra_obj)
     rows = [np.concatenate([-obj_x, -np.asarray(extra_obj, dtype=np.float64)])]
     rhs = [-(value - _LEX_SLACK)]
-    base_cols = (
-        np.hstack([mat, extra_cols]) if e else mat.reshape(mat.shape[0], k)
-    )
+    base_cols = np.hstack([mat, extra_cols]) if e else mat.reshape(mat.shape[0], k)
     x = None
     for a in range(k):
         coord = np.zeros(k + e)
         coord[a] = 1.0
-        mat_a = np.vstack([base_cols, np.asarray(rows)]) if rows else base_cols
+        mat_a = np.vstack([base_cols, np.asarray(rows)])
         bnd_a = np.concatenate([bnd, np.asarray(rhs)])
-        x, y, v_a, _ = _solve_ext(
-            coord[:k],
-            mat_a[:, :k],
-            bnd_a,
-            extra_obj=tuple(coord[k:]),
-            extra_cols=mat_a[:, k:] if e else None,
-        )
+        extra_a = mat_a[:, k:] if e else None
+        x, _, v_a, _ = _solve_ext(coord[:k], mat_a[:, :k], bnd_a, tuple(coord[k:]), extra_a)
         if a < k - 1:
             rows.append(-coord)
             rhs.append(-(v_a - _LEX_SLACK))
     return x
+
+
+def _canonical(obj_x, mat, bnd, extra_obj=(), extra_cols=None):
+    """(x, value) of ``_solve_ext``'s program at its canonical optimum:
+    lex-refined when an alternate optimum may exist, then dust-snapped."""
+    x, _, value, alternates = _solve_ext(obj_x, mat, bnd, extra_obj, extra_cols)
+    if alternates:
+        x = _lex_refine(obj_x, mat, bnd, value, extra_obj, extra_cols)
+    return _snap_dust(x), value
 
 
 def _snap_dust(x: np.ndarray) -> np.ndarray:
@@ -275,10 +278,7 @@ def solve(lp: SimplexPolytopeLP):
         x = np.zeros(k)
         x[best] = 1.0
         return x, float(obj[best])
-    x, _, value, alternates = _solve_ext(obj, mat, bnd)
-    if alternates:
-        x = _lex_refine(obj, mat, bnd, value)
-    return _snap_dust(x), value
+    return _canonical(obj, mat, bnd)
 
 
 def least_violation_strategy(mat: np.ndarray, bnd: np.ndarray):
@@ -290,15 +290,9 @@ def least_violation_strategy(mat: np.ndarray, bnd: np.ndarray):
     """
     mat = np.asarray(mat, dtype=np.float64)
     bnd = np.asarray(bnd, dtype=np.float64)
-    k = mat.shape[1]
     extra_cols = np.tile(np.array([-1.0, 1.0]), (mat.shape[0], 1))
-    zero_obj = np.zeros(k)
-    x, _, value, alternates = _solve_ext(
-        zero_obj, mat, bnd, extra_obj=(-1.0, 1.0), extra_cols=extra_cols
-    )
-    if alternates:
-        x = _lex_refine(zero_obj, mat, bnd, value, (-1.0, 1.0), extra_cols)
-    return _snap_dust(x), -value
+    x, value = _canonical(np.zeros(mat.shape[1]), mat, bnd, (-1.0, 1.0), extra_cols)
+    return x, -value
 
 
 def _lex_greater(a: np.ndarray, b: np.ndarray) -> bool:

@@ -324,12 +324,23 @@ def _with_literal(payload: dict, key: str, literal: str) -> str:
     return json.dumps(payload | {key: 0}).replace(f'"{key}": 0', f'"{key}": {literal}')
 
 
+# the flags of each oversized flag case, and the text its error line starts with
+_FLAG_CASES = {
+    "flag": (["--horizon", str(10**400)], "--horizon"),
+    "flag at 2**53": (["--horizon", str(2**53)], "--horizon"),
+    "flag seed": (["--seed", str(10**400)], "--seed"),
+    "flag trials": (["--trials", str(-(10**400))], "--trials"),
+    "flag algo": (["--algo", "x" * 1000], "unknown algorithm"),
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
         "flag", "flag at 2**53", "config", "config delta", "validate", "run",
         "validate digits", "config digits",
         *[f"{command} {entry}" for entry in _ENTRY_LISTS for command in ("validate", "run")],
+        "flag seed", "flag trials", "flag algo", "config key", "validate K",
     ],
 )
 def test_oversized_numbers_exit_one(tmp_path, monkeypatch, capsys, case):
@@ -338,7 +349,10 @@ def test_oversized_numbers_exit_one(tmp_path, monkeypatch, capsys, case):
     integer too large for a float, and an integer literal past the
     interpreter's 4300-digit limit in an instance or config file, are bad
     input (exit 1, ``error:`` naming the flag or file), not runtime
-    failures, and are caught before any trial runs."""
+    failures, and are caught before any trial runs.  So are a 401-digit
+    seed, count or K, a 1000-character algorithm and a 300-character
+    config key, and every error line that echoes such a value stays
+    under 200 characters."""
     from repmab import cli
 
     def no_trials(*args, **kwargs):
@@ -353,6 +367,8 @@ def test_oversized_numbers_exit_one(tmp_path, monkeypatch, capsys, case):
     if rest and rest[-1] in _ENTRY_LISTS:
         _ENTRY_LISTS[rest[-1]](payload)[0] = 10**400
         bad.write_text(json.dumps(payload))
+    elif case == "validate K":
+        bad.write_text(json.dumps(payload | {"K": 10**400}))
     else:
         bad.write_text(_with_literal(payload, "horizon", digits if rest else str(10**30)))
     config = tmp_path / "exp.json"
@@ -360,13 +376,14 @@ def test_oversized_numbers_exit_one(tmp_path, monkeypatch, capsys, case):
         "config": ("horizon", str(10**400)),
         "config delta": ("delta", str(10**400)),
         "config digits": ("horizon", digits),
+        "config key": ("k" * 300, "0"),
     }.get(case, ("seed", "0"))
     out = str(tmp_path / "x")
     options = {"instance": str(instance), "algo": "debora", "out": out}
     config.write_text(_with_literal(options, key, literal))
-    horizon = str(2**53 if case == "flag at 2**53" else 10**400)
+    flags, named = _FLAG_CASES.get(case, ([], None))
     argv = {
-        "flag": ["run", "--instance", str(instance), "--algo", "debora", "--horizon", horizon],
+        "flag": ["run", "--instance", str(instance), "--algo", "debora", *flags],
         "config": ["run", "--config", str(config)],
         "validate": ["validate", "--instance", str(bad)],
         "run": ["run", "--instance", str(bad), "--algo", "debora"],
@@ -374,10 +391,12 @@ def test_oversized_numbers_exit_one(tmp_path, monkeypatch, capsys, case):
     if command in ("flag", "run"):
         argv += ["--out", out]
     assert cli.main(argv) == 1
-    named = "--horizon" if case in ("flag", "flag at 2**53", "config") else (
-        config if command == "config" else bad
-    )
-    assert capsys.readouterr().err.startswith(f"error: {named}")
+    if named is None:
+        named = "--horizon" if case == "config" else (config if command == "config" else bad)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}")
+    if "digits" not in case:  # these echo no value, but the interpreter's own message
+        assert max(map(len, err.splitlines())) < 200
     assert not (tmp_path / "x").exists()
 
 

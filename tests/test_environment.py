@@ -133,6 +133,22 @@ def test_instance_rejects_out_of_range():
         make_spec([0.5], [], [], horizon=0)
 
 
+@pytest.mark.parametrize(
+    "horizon, text",
+    [
+        pytest.param(10**400, "1" + "0" * 39 + "... (401 characters)", id="10**400"),
+        pytest.param(10**5000, "<an int of 16610 bits>", id="10**5000"),
+    ],
+)
+def test_instance_shows_an_oversized_horizon_in_short(horizon, text):
+    """A horizon past the interpreter's 4300-digit limit for printing an
+    int still gets the horizon message, shown by its size; a long one
+    that prints is cut to its first 40 characters and its length."""
+    with pytest.raises(ValidationError) as info:
+        make_spec([0.5], [], [], horizon=horizon)
+    assert str(info.value) == f"horizon must be below 2**53, got {text}"
+
+
 def test_from_dict_collects_problems():
     with pytest.raises(ValidationError) as err:
         instance_from_dict({"K": 2, "m": 0}, where="test")
@@ -228,14 +244,22 @@ def test_from_dict_rejects_json_booleans(key, value):
         instance_from_dict(payload)
 
 
-@pytest.mark.parametrize("value", [True, "0.5", pytest.param(10**400, id="10**400")])
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        pytest.param(True, "True", id="True"),
+        pytest.param("0.5", "'0.5'", id="0.5"),
+        pytest.param(10**400, "1" + "0" * 39 + "... (401 characters)", id="10**400"),
+    ],
+)
 @pytest.mark.parametrize(
     "key, where", [("reward_means", "[1]"), ("cost_means", "[0][1]"), ("thresholds", "[0]")]
 )
-def test_from_dict_rejects_non_numeric_means(key, where, value):
+def test_from_dict_rejects_non_numeric_means(key, where, value, text):
     """JSON booleans and strings are not means, though numpy would read
     them as 1.0 and 0.5, and an integer too large for a float is not
-    one either (numpy would raise OverflowError)."""
+    one either (numpy would raise OverflowError); a long value is shown
+    by its first 40 characters and its length."""
     payload = {
         "K": 2,
         "m": 1,
@@ -248,7 +272,7 @@ def test_from_dict_rejects_non_numeric_means(key, where, value):
     entries[-1] = value
     with pytest.raises(ValidationError) as info:
         instance_from_dict(payload)
-    assert str(info.value) == f"instance.{key}{where} must be a number, got {value!r}"
+    assert str(info.value) == f"instance.{key}{where} must be a number, got {text}"
 
 
 def test_load_instance_reports_json_line(tmp_path):

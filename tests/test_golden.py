@@ -361,6 +361,11 @@ def test_trial_invariants_on_random_instances(spec, seeds, delta_rho):
         if algo == "debora-h" and spec.m:
             cap = 1.0 / (1.0 + oracle.lambda_min)
             assert all(0.0 <= rec.sigma <= cap for rec in log.epochs)
+        if algo == "debora":
+            # the optimistic program with no rows: the one-hot of the
+            # first maximizer of the epoch's r_hat + zeta
+            optimistic = log.epochs.r_hat + log.epochs.zeta
+            assert np.array_equal(log.epochs.x, np.eye(spec.k)[optimistic.argmax(axis=1)])
         # every epoch's pulls add up to the whole log; successes are
         # folded before every close when zeta(T) <= 1, so the sums are
         # the log's successes over the rounds before the final epoch

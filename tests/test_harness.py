@@ -390,19 +390,26 @@ def test_non_integral_horizon_is_rejected_before_any_work(reference_soft, monkey
 
 
 @pytest.mark.parametrize(
-    "horizon", [2**53, 10**400, np.uint64(2**63), 1e300], ids=["2**53", "10**400", "uint64", "1e300"]
+    "horizon, text",
+    [
+        pytest.param(2**53, "9007199254740992", id="2**53"),
+        pytest.param(10**400, "1" + "0" * 39 + r"\.\.\. \(401 characters\)", id="10**400"),
+        pytest.param(np.uint64(2**63), "9223372036854775808", id="uint64"),
+        pytest.param(1e300, str(int(1e300))[:40] + r"\.\.\. \(301 characters\)", id="1e300"),
+    ],
 )
 @pytest.mark.parametrize("algo", ["debora", "ucb1"])
-def test_horizon_of_2_53_or_more_is_rejected_before_any_work(reference_soft, monkeypatch, algo, horizon):
+def test_horizon_of_2_53_or_more_is_rejected_before_any_work(reference_soft, monkeypatch, algo, horizon, text):
     """Float64 success sums are exact only below 2**53 rounds; an int
     horizon is compared with that limit without a float conversion, which
-    would overflow."""
+    would overflow.  A horizon of more than 40 digits is shown by its
+    first 40 and its length."""
     def no_work(*args):
         raise AssertionError("work began before the horizon was checked")
 
     monkeypatch.setattr(harness, "solve_oracle", no_work)
     monkeypatch.setattr(harness, "make_policy", no_work)
-    with pytest.raises(ValueError, match=rf"horizon must be below 2\*\*53, got {int(horizon)}$"):
+    with pytest.raises(ValueError, match=rf"horizon must be below 2\*\*53, got {text}$"):
         run_trial(reference_soft, algo, 1, 2, delta=0.05, rho=0.2, horizon=horizon)
 
 
@@ -425,6 +432,63 @@ def test_bad_horizon_is_rejected_before_the_oracle(reference_soft, monkeypatch, 
                 reference_soft, "debora", rho=0.2, delta=0.05, n_pairs=1, seed=1, horizon=horizon
             )
     assert solved == []
+
+
+def _refuse(*args):
+    raise AssertionError("work began before every input was checked")
+
+
+def test_horizon_past_the_digit_limit_is_shown_by_its_size(reference_soft, monkeypatch):
+    """A horizon of 10**5000 has more digits than an int may print; its
+    error is still the horizon message, not the interpreter's own."""
+    monkeypatch.setattr(harness, "solve_oracle", _refuse)
+    message = r"horizon must be below 2\*\*53, got <an int of 16610 bits>$"
+    with pytest.raises(ValueError, match=message):
+        run_trial(reference_soft, "debora", 1, 2, delta=0.05, rho=0.2, horizon=10**5000)
+
+
+# each bad input: the entry points it applies to, its keyword arguments
+# for ``_run_entry`` and the error it must raise
+_BAD_INPUTS = {
+    "algorithm": (
+        ("trial", "batch", "pairs"), dict(algo="nope"),
+        "unknown algorithm 'nope'; choose from debora, debora-s, debora-h, ucb1",
+    ),
+    "delta": (("trial", "batch", "pairs"), dict(delta=0.5), r"need 0 < 2\*delta < rho < 1"),
+    "rho": (("trial", "batch", "pairs"), dict(rho=1.5), r"need 0 < 2\*delta < rho < 1"),
+    "algorithm seed": (("trial",), dict(xi_seed=-1), "root_seed must be an unsigned 64-bit"),
+    "environment seed": (("trial",), dict(env_seed=2**64), "root_seed must be an unsigned 64-bit"),
+    "master seed": (("batch", "pairs"), dict(seed=-1), "root_seed must be an unsigned 64-bit"),
+    "huge master seed": (("batch", "pairs"), dict(seed=2**64), "root_seed must be an unsigned 64-bit"),
+    "horizon": (("trial", "batch", "pairs"), dict(horizon=0), "horizon must be at least 1, got 0"),
+    "count": (("batch", "pairs"), dict(count=0), r"need at least one (trial|pair), got \w+=0$"),
+}
+
+
+def _run_entry(entry, spec, algo="debora-h", delta=0.05, rho=0.2, horizon=50,
+               xi_seed=1, env_seed=2, seed=3, count=1):
+    if entry == "trial":
+        return run_trial(spec, algo, xi_seed, env_seed, delta=delta, rho=rho, horizon=horizon)
+    if entry == "batch":
+        return run_batch(spec, algo, delta=delta, rho=rho, trials=count, seed=seed, horizon=horizon)
+    return run_replicability_experiment(
+        spec, algo, rho=rho, delta=delta, n_pairs=count, seed=seed, horizon=horizon
+    )
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [(entry, bad) for bad, (entries, _, _) in _BAD_INPUTS.items() for entry in entries],
+)
+def test_every_bad_input_is_rejected_before_any_work(reference_soft, monkeypatch, entry, bad):
+    """``run_trial`` without an oracle, ``run_batch`` and
+    ``run_replicability_experiment`` reject each bad input with its own
+    error before the oracle's LPs run or a policy is made."""
+    _, kwargs, message = _BAD_INPUTS[bad]
+    monkeypatch.setattr(harness, "solve_oracle", _refuse)
+    monkeypatch.setattr(harness, "make_policy", _refuse)
+    with pytest.raises(ValueError, match=message):
+        _run_entry(entry, reference_soft, **kwargs)
 
 
 @pytest.mark.parametrize("seed", [True, False])
