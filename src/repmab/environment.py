@@ -205,16 +205,18 @@ def is_json_kind(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-def shown(value, limit: int = 40) -> str:
-    """``repr(value)`` for an error message: in full up to ``limit``
-    characters, else its head and its length; an int with more digits
-    than the interpreter prints is shown by its size, so no input value
-    (a JSON value or a number) makes the message itself raise."""
+def shown(value) -> str:
+    """``repr(value)`` for an error message: in full up to 40 characters,
+    else its first 40 and its length; an int with more digits than the
+    interpreter prints is shown by its size, and a container holding one
+    by its type, so no input value makes the message itself raise."""
     try:
         text = repr(value)
-    except ValueError:  # only an int past the digit limit fails to print
-        return f"<an int of {value.bit_length()} bits>"
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+    except ValueError:  # an int past the digit limit, or a container holding one
+        if isinstance(value, int):
+            return f"<an int of {value.bit_length()} bits>"
+        return f"<a {type(value).__name__} too large to print>"
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def read_json(path: str | Path):

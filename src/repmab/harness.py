@@ -46,8 +46,9 @@ expanded from per-key tables on demand, by repeating each epoch's entry
 over its run of rounds, or, for UCB1, through the actions.
 
 ``run_trial``, ``run_batch`` and ``run_replicability_experiment`` check
-every input in one prologue, ``_check_inputs``, then their seeds, before
-the oracle's LPs run or a policy is made.
+every input in one prologue, ``_check_inputs``, before the oracle's LPs
+run or a policy is made; ``run_trial`` checks its two seeds by building
+their ``RandomSource``s right after it.
 
 Every output file goes through one of two writers: ``_write_csv`` for
 ``rounds.csv``, ``regret_curve.csv`` and ``pairs.csv``, ``_write_json``
@@ -320,9 +321,9 @@ def run_trial(
     return log
 
 
-def _check_inputs(spec: InstanceSpec, algo, delta, rho, horizon, **counts) -> int:
-    """Check the algorithm, δ and ρ, each count (at least 1) and the
-    horizon of a run before any work, and return the trial horizon:
+def _check_inputs(spec: InstanceSpec, algo, delta, rho, horizon, *seeds, **counts) -> int:
+    """Check the algorithm, δ and ρ, each count (at least 1), the horizon
+    and each seed of a run before any work, and return the trial horizon:
     ``spec.horizon`` if ``horizon`` is None, else ``horizon``, a whole
     number of rounds from 1 to below 2**53."""
     policy_class(algo)
@@ -340,6 +341,8 @@ def _check_inputs(spec: InstanceSpec, algo, delta, rho, horizon, **counts) -> in
         raise ValueError(f"horizon must be at least 1, got {shown(horizon)}")
     if horizon >= HORIZON_LIMIT:
         raise ValueError(f"horizon must be below 2**53, got {shown(horizon)}")
+    for seed in seeds:
+        RandomSource(seed)  # raises on a bad seed
     return horizon
 
 
@@ -586,8 +589,7 @@ def run_batch(
     horizon: int | None = None,
 ) -> list[TrialLog]:
     """Run ``trials`` independent trials, seeds derived from one master."""
-    horizon = _check_inputs(spec, algo, delta, rho, horizon, trials=trials)
-    RandomSource(seed)  # a bad master seed raises here, before the oracle
+    horizon = _check_inputs(spec, algo, delta, rho, horizon, seed, trials=trials)
     kwargs = dict(delta=delta, rho=rho, horizon=horizon, oracle=solve_oracle(spec))
     return [run_trial(spec, algo, *trial_seeds(seed, j), **kwargs) for j in range(trials)]
 
@@ -636,8 +638,7 @@ def run_replicability_experiment(
     deterministic code paths).  Action sequences are compared as well
     and reported separately.
     """
-    horizon = _check_inputs(spec, algo, delta, rho, horizon, n_pairs=n_pairs)
-    RandomSource(seed)  # a bad master seed raises here, before the oracle
+    horizon = _check_inputs(spec, algo, delta, rho, horizon, seed, n_pairs=n_pairs)
     kwargs = dict(delta=delta, rho=rho, horizon=horizon, oracle=solve_oracle(spec))
     results = []
     for p in range(n_pairs):

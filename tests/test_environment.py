@@ -134,19 +134,25 @@ def test_instance_rejects_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "horizon, text",
+    "horizon, message",
     [
-        pytest.param(10**400, "1" + "0" * 39 + "... (401 characters)", id="10**400"),
-        pytest.param(10**5000, "<an int of 16610 bits>", id="10**5000"),
+        pytest.param(
+            10**400, "below 2**53, got 1" + "0" * 39 + "... (401 characters)", id="10**400"
+        ),
+        pytest.param(10**5000, "below 2**53, got <an int of 16610 bits>", id="10**5000"),
+        pytest.param(
+            [10**5000], "a positive integer, got <a list too large to print>", id="[10**5000]"
+        ),
     ],
 )
-def test_instance_shows_an_oversized_horizon_in_short(horizon, text):
+def test_instance_shows_an_oversized_horizon_in_short(horizon, message):
     """A horizon past the interpreter's 4300-digit limit for printing an
-    int still gets the horizon message, shown by its size; a long one
-    that prints is cut to its first 40 characters and its length."""
+    int still gets the horizon message, shown by its size, and a list
+    holding one by its type; a long one that prints is cut to its first
+    40 characters and its length."""
     with pytest.raises(ValidationError) as info:
         make_spec([0.5], [], [], horizon=horizon)
-    assert str(info.value) == f"horizon must be below 2**53, got {text}"
+    assert str(info.value) == f"horizon must be {message}"
 
 
 def test_from_dict_collects_problems():
