@@ -30,6 +30,7 @@ through ``pick(t)`` and ``observe(arm, reward)``.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -73,10 +74,12 @@ def epoch_budget(k: int, horizon: int) -> int:
 
 
 def check_delta_rho(delta: float, rho: float) -> None:
-    """Reject a failure probability and replicability target outside
-    0 < 2*delta < rho < 1 (NaN included), whatever the algorithm."""
-    if not (0.0 < 2.0 * delta < rho < 1.0):
-        raise ConfigError(f"need 0 < 2*delta < rho < 1, got delta={delta}, rho={rho}")
+    """Reject a failure probability and replicability target that are not
+    real numbers with 0 < 2*delta < rho < 1 (NaN included), whatever the
+    algorithm."""
+    real = all(isinstance(v, numbers.Real) for v in (delta, rho))
+    if not (real and 0.0 < 2.0 * delta < rho < 1.0):
+        raise ConfigError(f"need 0 < 2*delta < rho < 1, got delta={shown(delta)}, rho={shown(rho)}")
 
 
 def _solve_optimistic(lp: SimplexPolytopeLP) -> tuple[np.ndarray, bool]:
@@ -145,7 +148,6 @@ class _EpochDoublingPolicy:
         k = spec.k
         m = spec.m if track_costs else 0
         self.spec = spec
-        self.horizon = horizon
         self.budget = epoch_budget(k, horizon)
         self.xi = xi
         self.oracle = oracle
@@ -306,7 +308,6 @@ class Ucb1:
     name = "ucb1"
 
     def __init__(self, spec, horizon, delta, rho, xi, oracle):
-        self.spec = spec
         self.k = spec.k
         self.sums = [0.0] * spec.k
         self.n = [0] * spec.k

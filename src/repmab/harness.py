@@ -64,6 +64,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -322,19 +323,25 @@ def run_trial(
 
 
 def _check_inputs(spec: InstanceSpec, algo, delta, rho, horizon, *seeds, **counts) -> int:
-    """Check the algorithm, δ and ρ, each count (at least 1), the horizon
-    and each seed of a run before any work, and return the trial horizon:
-    ``spec.horizon`` if ``horizon`` is None, else ``horizon``, a whole
-    number of rounds from 1 to below 2**53."""
+    """Check the algorithm, δ and ρ, each count (an integer, at least 1),
+    the horizon and each seed of a run before any work, and return the
+    trial horizon: ``spec.horizon`` if ``horizon`` is None, else
+    ``horizon``, a whole number of rounds from 1 to below 2**53 given as
+    an integer or an integral real (never a string)."""
     policy_class(algo)
     check_delta_rho(delta, rho)
+    # a bool is an int to Python, but no count of trials, pairs or rounds
     for name, count in counts.items():
-        if isinstance(count, bool) or count < 1:
-            noun = "trial" if name == "trials" else "pair"
+        noun = "trial" if name == "trials" else "pair"
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"need a whole number of {noun}s, got {name}={shown(count)}")
+        if count < 1:
             raise ValueError(f"need at least one {noun}, got {name}={shown(count)}")
-    # a bool is an int to Python, but no count of rounds; an int is never cast to a float
-    whole = horizon is None or isinstance(horizon, (int, np.integer))
-    if isinstance(horizon, bool) or not (whole or float(horizon).is_integer()):
+    # an int is never cast to a float, which could overflow
+    whole = horizon is None or isinstance(horizon, numbers.Integral)
+    if not whole and isinstance(horizon, numbers.Real):
+        whole = float(horizon).is_integer()
+    if isinstance(horizon, bool) or not whole:
         raise ValueError(f"horizon must be a whole number of rounds, got {shown(horizon)}")
     horizon = spec.horizon if horizon is None else int(horizon)
     if horizon < 1:

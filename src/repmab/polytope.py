@@ -1,15 +1,16 @@
 """Deterministic linear programming over the probability simplex.
 
-Feasible regions here are the simplex intersected with linear
-inequality constraints.  The solver is a dense two-phase tableau
-simplex with Bland's rule, so identical inputs pivot identically on
-every run.  Each pivot's choice is two array scans: the entering
-column is the first index with a positive reduced cost, and the
-leaving row is, among the rows at the minimum ratio, the one whose
-basic variable has the lowest index.  Among optimal vertices the
-returned point is canonical: mass is pushed onto low arm indices
-first (lexicographic preference), because a set-valued argmax is
-useless to a replicable caller; ``solve`` and
+Every program here has one form, ``(cost, mat, bnd, k)``: maximize
+cost @ v over v >= 0, with the first ``k`` entries x of v on the
+simplex and mat @ v <= bnd.  One routine, ``_solve``, builds and solves
+the tableau of each: a dense two-phase simplex with Bland's rule, so
+identical inputs pivot identically on every run.  Each pivot's choice
+is two array scans: the entering column is the first index with a
+positive reduced cost, and the leaving row is, among the rows at the
+minimum ratio, the one whose basic variable has the lowest index.
+Among optimal vertices the returned point is canonical: mass is pushed
+onto low arm indices first (lexicographic preference), because a
+set-valued argmax is useless to a replicable caller; ``solve`` and
 ``least_violation_strategy`` reach it through one tail, ``_canonical``.
 
 ``brute_force_optimum`` enumerates basic feasible points directly and
@@ -108,26 +109,29 @@ def _bland(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray, ncols: int) -> 
     raise RuntimeError("simplex pivot limit reached")
 
 
-def _solve_standard(a_eq: np.ndarray, b_eq: np.ndarray, cost: np.ndarray):
-    """Maximize cost @ v subject to a_eq @ v = b_eq, v >= 0.
+def _solve(cost: np.ndarray, mat: np.ndarray, bnd: np.ndarray, k: int):
+    """Solve the program ``(cost, mat, bnd, k)``, in the module's form.
 
-    Two-phase simplex with one artificial per row.  Returns the basic
-    optimal point, its value, and whether an alternate optimum may exist
-    (some nonbasic column with a vanishing reduced cost).
+    The tableau's columns are v, one slack per row of ``mat``, then one
+    artificial per row, the simplex row first; Bland's rule takes the
+    lowest eligible index, so this order decides every pivot.  Returns x
+    at the basic optimum, its value, and whether an alternate optimum
+    may exist (some nonbasic column with a vanishing reduced cost).
     """
-    a_eq = np.array(a_eq, dtype=np.float64)
-    b_eq = np.array(b_eq, dtype=np.float64)
-    m, n = a_eq.shape
+    m = mat.shape[0]
+    n = mat.shape[1] + m
+    a_eq = np.zeros((m + 1, n))
+    a_eq[0, :k] = 1.0
+    a_eq[1:] = np.hstack([mat, np.eye(m)])
+    b_eq = np.concatenate([[1.0], bnd])
     neg = b_eq < 0.0
     a_eq[neg] *= -1.0
     b_eq[neg] *= -1.0
 
-    tab = np.hstack([a_eq, np.eye(m), b_eq[:, None]])
-    basis = np.arange(n, n + m)
-    phase1_cost = np.concatenate([np.zeros(n), -np.ones(m)])
-    _bland(tab, basis, phase1_cost, n + m)
-    residual = float(np.sum(tab[basis >= n, -1]))
-    if residual > FEAS_TOL:
+    tab = np.hstack([a_eq, np.eye(m + 1), b_eq[:, None]])
+    basis = np.arange(n, n + m + 1)
+    _bland(tab, basis, np.concatenate([np.zeros(n), -np.ones(m + 1)]), n + m + 1)
+    if float(np.sum(tab[basis >= n, -1])) > FEAS_TOL:
         raise Infeasible("no feasible point")
 
     # Drive leftover artificials out of the basis; a row with no real
@@ -143,86 +147,40 @@ def _solve_standard(a_eq: np.ndarray, b_eq: np.ndarray, cost: np.ndarray):
         tab, basis = np.delete(tab, drop, axis=0), np.delete(basis, drop)
 
     tab = np.hstack([tab[:, :n], tab[:, -1:]])
-    full_cost = np.asarray(cost, dtype=np.float64)
+    full_cost = np.concatenate([cost, np.zeros(m)])
     reduced = _bland(tab, basis, full_cost, n)
 
     point = np.zeros(n)
     point[basis] = tab[:, -1]
-    value = float(full_cost @ point)
     reduced[basis] = -np.inf  # a basic column is no alternate
     alternates = bool(np.any(reduced > -_PIVOT_TOL))
-    return point, value, alternates
+    return np.maximum(point[:k], 0.0), float(full_cost @ point), alternates
 
 
-def _solve_ext(
-    obj_x: np.ndarray,
-    mat: np.ndarray,
-    bnd: np.ndarray,
-    extra_obj: tuple[float, ...] = (),
-    extra_cols: np.ndarray | None = None,
-):
-    """Maximize obj_x @ x + extra_obj @ y with x on the simplex, y >= 0,
-    mat @ x + extra_cols @ y <= bnd."""
-    k = obj_x.size
-    m = mat.shape[0]
-    e = len(extra_obj)
-    ncols = k + e + m
-    a_eq = np.zeros((m + 1, ncols))
-    a_eq[0, :k] = 1.0
-    b_eq = np.zeros(m + 1)
-    b_eq[0] = 1.0
-    if m:
-        a_eq[1:, :k] = mat
-        if e:
-            a_eq[1:, k : k + e] = extra_cols
-        a_eq[1:, k + e :] = np.eye(m)
-        b_eq[1:] = bnd
-    cost = np.concatenate([obj_x, np.asarray(extra_obj, dtype=np.float64), np.zeros(m)])
-    point, value, alternates = _solve_standard(a_eq, b_eq, cost)
-    x = np.maximum(point[:k], 0.0)
-    y = point[k : k + e]
-    return x, y, value, alternates
-
-
-def _lex_refine(
-    obj_x: np.ndarray,
-    mat: np.ndarray,
-    bnd: np.ndarray,
-    value: float,
-    extra_obj: tuple[float, ...] = (),
-    extra_cols: np.ndarray | None = None,
-) -> np.ndarray:
-    """Canonical point of the optimal face: maximize x_0, then x_1, ...
+def _lex_refine(cost: np.ndarray, mat: np.ndarray, bnd: np.ndarray, value: float, k: int):
+    """Canonical x of the optimal face of ``_solve``'s program: maximize
+    x_0, then x_1, ...
 
     The face is pinned by requiring the original objective to stay
     within a small slack of its optimum; each refined coordinate is then
     locked the same way.
     """
-    k = obj_x.size
-    e = len(extra_obj)
-    rows = [np.concatenate([-obj_x, -np.asarray(extra_obj, dtype=np.float64)])]
-    rhs = [-(value - _LEX_SLACK)]
-    base_cols = np.hstack([mat, extra_cols]) if e else mat.reshape(mat.shape[0], k)
-    x = None
+    rows, rhs = [-cost], [-(value - _LEX_SLACK)]
     for a in range(k):
-        coord = np.zeros(k + e)
+        coord = np.zeros(cost.size)
         coord[a] = 1.0
-        mat_a = np.vstack([base_cols, np.asarray(rows)])
-        bnd_a = np.concatenate([bnd, np.asarray(rhs)])
-        extra_a = mat_a[:, k:] if e else None
-        x, _, v_a, _ = _solve_ext(coord[:k], mat_a[:, :k], bnd_a, tuple(coord[k:]), extra_a)
-        if a < k - 1:
-            rows.append(-coord)
-            rhs.append(-(v_a - _LEX_SLACK))
+        x, v_a, _ = _solve(coord, np.vstack([mat, *rows]), np.concatenate([bnd, rhs]), k)
+        rows.append(-coord)
+        rhs.append(-(v_a - _LEX_SLACK))
     return x
 
 
-def _canonical(obj_x, mat, bnd, extra_obj=(), extra_cols=None):
-    """(x, value) of ``_solve_ext``'s program at its canonical optimum:
+def _canonical(cost, mat, bnd, k):
+    """(x, value) of ``_solve``'s program at its canonical optimum:
     lex-refined when an alternate optimum may exist, then dust-snapped."""
-    x, _, value, alternates = _solve_ext(obj_x, mat, bnd, extra_obj, extra_cols)
+    x, value, alternates = _solve(cost, mat, bnd, k)
     if alternates:
-        x = _lex_refine(obj_x, mat, bnd, value, extra_obj, extra_cols)
+        x = _lex_refine(cost, mat, bnd, value, k)
     return _snap_dust(x), value
 
 
@@ -258,7 +216,7 @@ def check_feasible(mat: np.ndarray, bnd: np.ndarray) -> None:
     mat = np.asarray(mat, dtype=np.float64)
     bnd = np.asarray(bnd, dtype=np.float64)
     if not _whole_simplex(mat, bnd):
-        _solve_ext(np.zeros(mat.shape[1]), mat, bnd)
+        _solve(np.zeros(mat.shape[1]), mat, bnd, mat.shape[1])
 
 
 def solve(lp: SimplexPolytopeLP):
@@ -278,7 +236,7 @@ def solve(lp: SimplexPolytopeLP):
         x = np.zeros(k)
         x[best] = 1.0
         return x, float(obj[best])
-    return _canonical(obj, mat, bnd)
+    return _canonical(obj, mat, bnd, k)
 
 
 def least_violation_strategy(mat: np.ndarray, bnd: np.ndarray):
@@ -290,8 +248,10 @@ def least_violation_strategy(mat: np.ndarray, bnd: np.ndarray):
     """
     mat = np.asarray(mat, dtype=np.float64)
     bnd = np.asarray(bnd, dtype=np.float64)
-    extra_cols = np.tile(np.array([-1.0, 1.0]), (mat.shape[0], 1))
-    x, value = _canonical(np.zeros(mat.shape[1]), mat, bnd, (-1.0, 1.0), extra_cols)
+    m, k = mat.shape
+    # the worst excess t = t+ - t- takes two columns: mat @ x - t <= bnd
+    twin = np.tile([-1.0, 1.0], (m, 1))
+    x, value = _canonical(np.r_[np.zeros(k), -1.0, 1.0], np.hstack([mat, twin]), bnd, k)
     return x, -value
 
 

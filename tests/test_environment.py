@@ -45,6 +45,26 @@ def test_monte_carlo_mean():
     assert abs(rewards[:, 0].mean() - 0.5) < 0.01
 
 
+@pytest.mark.parametrize(
+    "reward, costs, thresholds, message",
+    [
+        pytest.param([], [], [], "reward_means must be a nonempty vector$", id="no arms"),
+        pytest.param([0.5, 0.5], [[0.5, 0.5, 0.5]], [0.5],
+                     r"cost_means must be an m x 2 matrix, got shape \(1, 3\)$", id="cost width"),
+        pytest.param([0.5, 0.5], [[0.5, 0.5]], [0.5, 0.5],
+                     r"thresholds must have one entry per constraint, got \(2,\)$", id="threshold count"),
+        pytest.param([0.5, 0.5], [[0.9, 0.8]], [0.5],
+                     "instance rejected: safe set is empty$", id="empty safe set"),
+    ],
+)
+def test_directly_built_instance_is_rejected(reward, costs, thresholds, message):
+    """An ``InstanceSpec`` built without ``instance_from_dict`` gets its
+    shape errors from the constructor, and an empty safe set, which only
+    ``instance_from_dict`` checks up front, from ``solve_oracle``."""
+    with pytest.raises(ValidationError, match=message):
+        solve_oracle(InstanceSpec(reward, costs, thresholds, horizon=10))
+
+
 def test_oracle_unconstrained_argmax():
     oracle = solve_oracle(make_spec([0.9, 0.5], [], []))
     assert np.array_equal(oracle.x_star, [1.0, 0.0])

@@ -377,7 +377,7 @@ def test_horizon_below_one_is_rejected_before_any_work(reference_soft, monkeypat
         run_trial(reference_soft, algo, 1, 2, delta=0.05, rho=0.2, horizon=horizon)
 
 
-@pytest.mark.parametrize("horizon", [2.7, float("inf"), float("nan"), True])
+@pytest.mark.parametrize("horizon", [2.7, float("inf"), float("nan"), True, "abc", "1000"])
 def test_non_integral_horizon_is_rejected_before_any_work(reference_soft, monkeypatch, horizon):
     def no_work(*args):
         raise AssertionError("work began before the horizon was checked")
@@ -455,6 +455,23 @@ _BAD_INPUTS = {
     "huge master seed": (("batch", "pairs"), dict(seed=2**64), "root_seed must be an unsigned 64-bit"),
     "horizon": (("trial", "batch", "pairs"), dict(horizon=0), "horizon must be at least 1, got 0"),
     "count": (("batch", "pairs"), dict(count=0), r"need at least one (trial|pair), got \w+=0$"),
+    "fractional count": (
+        ("batch", "pairs"), dict(count=1.5), r"need a whole number of (trial|pair)s, got \w+=1\.5$",
+    ),
+    "string count": (
+        ("batch", "pairs"), dict(count="3"), r"need a whole number of (trial|pair)s, got \w+='3'$",
+    ),
+    "no count": (
+        ("batch", "pairs"), dict(count=None), r"need a whole number of (trial|pair)s, got \w+=None$",
+    ),
+    "string delta": (
+        ("trial", "batch", "pairs"), dict(delta="0.05"),
+        r"need 0 < 2\*delta < rho < 1, got delta='0\.05', rho=0\.2$",
+    ),
+    "no rho": (
+        ("trial", "batch", "pairs"), dict(rho=None),
+        r"need 0 < 2\*delta < rho < 1, got delta=0\.05, rho=None$",
+    ),
 }
 
 

@@ -95,6 +95,22 @@ def test_rejects_nonfinite():
         SimplexPolytopeLP([np.nan, 1.0], np.zeros((0, 2)), np.zeros(0))
 
 
+@pytest.mark.parametrize(
+    "objective, rows, bounds, message",
+    [
+        pytest.param([], np.zeros((0, 0)), [], "objective must be a nonempty vector", id="no arms"),
+        pytest.param([[0.5, 0.5]], np.zeros((0, 2)), [], "objective must be a nonempty vector", id="2-d"),
+        pytest.param([0.5, 0.5], [[0.5, 0.5, 0.5]], [0.5],
+                     "constraint matrix shape does not match objective", id="row width"),
+        pytest.param([0.5, 0.5], [[0.5, 0.5]], [0.5, 0.5],
+                     "bounds length does not match constraint rows", id="bound count"),
+    ],
+)
+def test_rejects_bad_shapes(objective, rows, bounds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimplexPolytopeLP(objective, rows, bounds)
+
+
 def test_least_violation_on_empty_region():
     # sum of x is 1, so the excess over 0.5 is exactly 0.5 everywhere
     x, worst = least_violation_strategy(np.array([[1.0, 1.0]]), np.array([0.5]))
@@ -297,3 +313,54 @@ def test_many_arm_lp_digest(monkeypatch):
             digest.update(repr(value).encode())
     assert len(refined) == 4
     assert digest.hexdigest() == "9c388f94f2caf3285da48243fd2e7681c69ab10839c932b251d493536f35545c"
+
+
+def _small_program(seed):
+    """(objective, rows, bounds) of a seeded program with K 1-8 and m 0-4:
+    quarter-step entries tie objectives and ratios, a zero or negative
+    bound and a duplicated row are common, and some regions are empty."""
+    rng = np.random.default_rng(seed)
+    k, m = int(rng.integers(1, 9)), int(rng.integers(0, 5))
+    obj = rng.integers(-1, 5, k) / 4
+    mat = rng.integers(-1, 5, (m, k)) / 4
+    bnd = rng.choice([-0.25, 0.0, 0.0, 0.25, 0.5, 0.75, 1.0], m)
+    if m > 1 and rng.random() < 0.5:
+        mat[-1], bnd[-1] = mat[0], bnd[0]
+    return obj, mat, bnd
+
+
+def _outcome(call, *args) -> bytes:
+    """The bytes of a result (strategy, repr of its value) or of None, or
+    the name of the exception type raised."""
+    try:
+        result = call(*args)
+    except Exception as exc:
+        return type(exc).__name__.encode()
+    if result is None:
+        return b"None"
+    x, value = result
+    return x.tobytes() + repr(value).encode()
+
+
+def test_small_lp_digest(monkeypatch):
+    """``solve``, ``least_violation_strategy`` and ``check_feasible`` on
+    300 seeded small programs, pinned by their result bytes and raised
+    exception types; the counts pin how many of the 900 calls raised
+    ``Infeasible`` and how many solves lex-refined."""
+    refined = []
+    lex_refine = polytope._lex_refine
+    monkeypatch.setattr(polytope, "_lex_refine", lambda *a: refined.append(1) or lex_refine(*a))
+    digest = hashlib.sha256()
+    infeasible = 0
+    for seed in range(300):
+        obj, mat, bnd = _small_program(seed)
+        for call, args in (
+            (solve, (SimplexPolytopeLP(obj, mat, bnd),)),
+            (least_violation_strategy, (mat, bnd)),
+            (check_feasible, (mat, bnd)),
+        ):
+            outcome = _outcome(call, *args)
+            infeasible += outcome == b"Infeasible"
+            digest.update(outcome)
+    assert (infeasible, len(refined)) == (276, 299)
+    assert digest.hexdigest() == "10f2e481dc2c7e882f25916b193c78919ec0aceaa756535d68af447e0c4573e3"

@@ -241,6 +241,12 @@ def test_categorical_rejects_bad_strategy():
         validate_strategy(np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("x", [[], 1.0, [[0.5, 0.5]]], ids=["empty", "scalar", "2-d"])
+def test_strategy_of_the_wrong_shape_rejected(x):
+    with pytest.raises(ValueError, match="^strategy must be a nonempty 1-d vector$"):
+        validate_strategy(x)
+
+
 @pytest.mark.parametrize("position", range(3))
 def test_strategy_with_nan_rejected(position):
     x = np.array([0.5, 0.5, 0.5])
